@@ -11,8 +11,7 @@
 #include "dse/sim_store.hpp"
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/fit.hpp"
-#include "kriging/simple_kriging.hpp"
-#include "kriging/universal_kriging.hpp"
+#include "kriging/system.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -69,9 +68,12 @@ void simple_vs_ordinary(const ace::core::ApplicationBenchmark& bench,
       std::vector<std::vector<double>> pts;
       std::vector<double> vals;
       store.gather(hood, pts, vals);
-      const auto ok = k::krige(pts, vals, d::to_real(config), *model);
-      const auto sk = k::simple_krige(pts, vals, d::to_real(config), *model,
-                                      sill, mean);
+      const auto query = d::to_real(config);
+      const auto ok = k::KrigingSystem({}, pts, vals, *model).query(query);
+      const auto sk = k::KrigingSystem({k::SystemKind::kSimple,
+                                        k::DriftKind::kConstant, sill, mean},
+                                       pts, vals, *model)
+                          .query(query);
       if (ok && sk) {
         interpolated = true;
         ok_eps.add(d::interpolation_epsilon(ok->estimate, truth,

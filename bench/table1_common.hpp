@@ -72,7 +72,8 @@ inline bool parse_gate_options(int argc, char** argv,
         std::cerr << "unknown flag: " << argv[i]
                   << "\nusage: [--gate=neighbour-count|variance|"
                      "loo-calibrated|sequential-design] [--nn-min=K]"
-                     " [--gate-nn-floor=K] [--variance-gate=X]"
+                     " [--gate-nn-floor=K]"
+                     " [--variance-gate=X (ceiling; use with --gate=variance)]"
                      " [--loo-gate=X] [--seq-confidence=Z] [--nugget=T2]\n";
         return false;
       }

@@ -12,11 +12,9 @@
 #include "util/table.hpp"
 
 // Linear algebra.
-#include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
-#include "linalg/solve.hpp"
 #include "linalg/vector.hpp"
 
 // Fixed-point arithmetic.
@@ -33,9 +31,7 @@
 // Kriging.
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/fit.hpp"
-#include "kriging/ordinary_kriging.hpp"
-#include "kriging/simple_kriging.hpp"
-#include "kriging/universal_kriging.hpp"
+#include "kriging/system.hpp"
 #include "kriging/variogram_model.hpp"
 
 // Approximate arithmetic operators.

@@ -104,11 +104,9 @@ class AcquisitionGate {
   virtual double calibration() const { return 1.0; }
 };
 
-/// Build the gate a policy's options select. Absorbs the legacy option
-/// combination: kNeighbourCount with variance_gate > 0 yields the
-/// VarianceGate, preserving pre-seam behaviour (and its
-/// variance_rejections accounting) bit-for-bit. Throws
-/// std::invalid_argument for kSequentialDesign without gate_lambda_min.
+/// Build the gate `options.gate` names, one gate type per GateKind.
+/// Throws std::invalid_argument for kSequentialDesign without
+/// gate_lambda_min.
 std::unique_ptr<AcquisitionGate> make_gate(const PolicyOptions& options);
 
 }  // namespace ace::dse

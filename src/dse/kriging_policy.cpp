@@ -64,8 +64,9 @@ KrigingPolicy::KrigingPolicy(PolicyOptions options)
       factor_cache_(options_.factor_cache_capacity) {
   if (options_.distance < 0)
     throw std::invalid_argument("KrigingPolicy: distance must be >= 0");
-  if (options_.variance_gate < 0.0)
-    throw std::invalid_argument("KrigingPolicy: variance_gate must be >= 0");
+  if (options_.variance_gate <= 0.0 ||
+      !std::isfinite(options_.variance_gate))
+    throw std::invalid_argument("KrigingPolicy: variance_gate must be > 0");
   if (options_.loo_gate <= 0.0 || !std::isfinite(options_.loo_gate))
     throw std::invalid_argument("KrigingPolicy: loo_gate must be > 0");
   if (options_.seq_confidence <= 0.0 ||
@@ -256,10 +257,10 @@ std::optional<double> KrigingPolicy::try_interpolate(
                                                  : kriging::l1_distance;
 
   // The solve itself runs on a kriging::KrigingSystem. Cache off (the
-  // default): a throwaway all-in-base system — bit-identical to the old
-  // kriging::krige() direct path. Cache on: look the support-index set up
-  // in the factor cache, reusing or extending an overlapping system's
-  // factorization instead of rebuilding it.
+  // default): a throwaway all-in-base system, the reference path for
+  // paper-default decisions (DESIGN.md §9). Cache on: look the
+  // support-index set up in the factor cache, reusing or extending an
+  // overlapping system's factorization instead of rebuilding it.
   std::optional<kriging::KrigingResult> result;
   if (presolved) {
     // evaluate_batch's group pre-pass already solved this query on the

@@ -44,7 +44,7 @@
 #include "dse/sim_store.hpp"
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/fit.hpp"
-#include "kriging/universal_kriging.hpp"
+#include "kriging/system.hpp"
 #include "kriging/variogram_model.hpp"
 #include "util/mutex.hpp"
 #include "util/retry.hpp"
@@ -81,12 +81,10 @@ struct PolicyOptions {
   /// drift in Nv dimensions). See bench/ablation_estimator.
   kriging::DriftKind drift = kriging::DriftKind::kConstant;
 
-  /// Variance gate (extension): when > 0, an interpolation whose kriging
-  /// variance exceeds gate · (sample variance of stored λ) falls back to
-  /// simulation. 0 disables the gate (the paper's behaviour). Retained for
-  /// compatibility — with the default `gate`, a positive value selects the
-  /// VarianceGate exactly as it always did (see dse/acquisition.hpp).
-  double variance_gate = 0.0;
+  /// VarianceGate ceiling (gate = kVariance only): an interpolation whose
+  /// kriging variance exceeds variance_gate · (sample variance of stored
+  /// λ) falls back to simulation. Must be finite and > 0.
+  double variance_gate = 1.0;
 
   /// Which simulate-vs-interpolate acquisition gate this policy runs. The
   /// default reproduces the paper's neighbour-count rule bit-for-bit; the
@@ -338,8 +336,7 @@ class KrigingPolicy {
     ++stats_.checkpoints_written;
   }
 
-  /// The acquisition gate this policy runs (resolved from the options —
-  /// the legacy variance_gate combination maps to kVariance).
+  /// The acquisition gate this policy runs (options().gate).
   GateKind gate_kind() const ACE_EXCLUDES(mutex_) {
     const util::LockGuard lock(mutex_);
     return gate_->kind();

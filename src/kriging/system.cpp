@@ -16,7 +16,7 @@ constexpr double kInitialRidge = 1e-10;
 constexpr double kMaxRidge = 1e-2;
 constexpr double kMaxSolutionNorm = 1e6;
 
-/// The legacy robust_solve acceptability test: finite and norm-bounded.
+/// Ladder acceptability test: finite and norm-bounded.
 bool acceptable(const linalg::Vector& x) {
   for (std::size_t i = 0; i < x.size(); ++i)
     if (!std::isfinite(x[i]) || std::abs(x[i]) > kMaxSolutionNorm)
@@ -125,7 +125,7 @@ bool KrigingSystem::refresh_border() {
     case SystemKind::kUniversal:
       // A linear drift adds dim + 1 constraints; identifying it needs at
       // least dim + 2 support points — otherwise degrade gracefully to the
-      // constant drift (= ordinary kriging), as the legacy wrapper did.
+      // constant drift (= ordinary kriging).
       if (effective == DriftKind::kLinear && points_.size() < dim_ + 2)
         effective = DriftKind::kConstant;
       border = effective == DriftKind::kConstant ? 1 : dim_ + 1;
@@ -237,8 +237,7 @@ std::vector<double> KrigingSystem::coupling_of(std::size_t i) const {
 }
 
 double KrigingSystem::ladder_scale() const {
-  // The exact scale of linalg::robust_solve: max(|A|, 1) over the
-  // *unshifted* matrix. Reuse the plain factor's assembled copy when one
+  // max(|A|, 1) over the *unshifted* matrix. Reuse the plain factor's assembled copy when one
   // exists; otherwise assemble once.
   for (const Factor& f : factors_)
     if (f.shift == 0.0)  // ace-lint: allow(float-equality)
@@ -314,11 +313,11 @@ std::optional<KrigingResult> KrigingSystem::query(
   ++stats_.solves;
   const linalg::Vector rhs = assemble_rhs(q);
 
-  // The legacy robust_solve ladder, rung for rung: plain solve first, then
-  // growing ridge on the non-border diagonal. Factor construction (and its
-  // singularity) depends only on the matrix, so factors and singularity
-  // verdicts are memoized across queries; the acceptability test depends
-  // on the right-hand side and is re-run per query.
+  // The ridge ladder: plain solve first, then growing ridge on the
+  // non-border diagonal. Factor construction (and its singularity)
+  // depends only on the matrix, so factors and singularity verdicts are
+  // memoized across queries; the acceptability test depends on the
+  // right-hand side and is re-run per query.
   double shift = 0.0;
   std::optional<linalg::Vector> solution;
   linalg::BorderedLdlt* used = nullptr;

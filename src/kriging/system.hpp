@@ -1,22 +1,20 @@
-// Shared kriging-system layer: one owner for system assembly and the
-// robust-solve ladder across all three estimators.
+// The kriging system: the library's one estimator path (paper Eq. 3 and
+// 7-10, plus the simple- and universal-kriging variants).
 //
-// ordinary_kriging / simple_kriging / universal_kriging used to each
-// assemble their (bordered) matrix and call linalg::robust_solve — three
-// copies of the same logic paying a full O(N³) factorization per query
-// even when consecutive queries share an almost identical support set.
-// KrigingSystem centralizes:
+// Given support configurations e_0..e_{N-1} with measured metric values
+// λ_0..λ_{N-1} and a semi-variogram model γ, the ordinary-kriging estimate
+// at query e_i is λ̂(e_i) = γ_i · Γ⁻¹ · λ (Eq. 10), with Γ the bordered
+// matrix of Eq. 9 (pairwise semi-variances plus a Lagrange row enforcing
+// Σμ = 1). KrigingSystem owns every part of that solve:
 //
 //   * assembly — variogram block (γ for ordinary/universal, the
 //     covariance C(d) = max(sill − γ(d), 0) for simple), the Lagrange
 //     ones-border (ordinary), and the drift columns F (universal);
-//   * the ridge-fallback ladder of linalg::robust_solve, replicated
-//     rung-for-rung (plain solve, then ridge = 1e-10 … 1e-2 ×100 on the
-//     non-border diagonal, acceptability = finite and max-abs <= 1e6) so
-//     callers see the exact legacy semantics;
-//   * coincident-support dedupe — duplicate points used to degenerate the
-//     system and were only avoided by the store's exact-match memo; here
-//     the first occurrence wins, duplicates get weight 0;
+//   * the ridge-fallback ladder: plain solve, then ridge = 1e-10 … 1e-2
+//     ×100 on the non-border diagonal, acceptability = finite and
+//     max-abs <= 1e6;
+//   * coincident-support dedupe — the first occurrence wins, duplicates
+//     get weight 0, so a repeated point never degenerates the system;
 //   * incremental support editing (Layout::kIncremental): append_point()
 //     extends the underlying linalg::BorderedLdlt by one Schur pivot
 //     instead of refactorizing, remove_point() downdates, and the
@@ -24,14 +22,13 @@
 //     neighbourhoods overlap.
 //
 // Layout::kAllInBase puts the entire system into the factorization's base
-// block: every solve then reproduces the legacy direct path bit-for-bit
-// (same matrix, same pivoted LU, same ladder), which is what keeps
-// optimizer decisions identical whether or not the factor cache is on.
-// Within one layout, a factor built at some ladder rung is kept and
-// re-solved for later queries (the matrix — hence its singularity and its
-// factorization — does not depend on the query, only the acceptability
-// check does), so repeated queries against one support set skip the
-// refactorization entirely.
+// block, so every solve is one pivoted LU of the whole assembled matrix.
+// That is the path paper-default decisions run on (DESIGN.md §9), and the
+// reference kIncremental is checked against. Within one layout, a factor
+// built at some ladder rung is kept and re-solved for later queries (the
+// matrix — hence its singularity and its factorization — does not depend
+// on the query, only the acceptability check does), so repeated queries
+// against one support set skip the refactorization entirely.
 #pragma once
 
 #include <cstddef>
@@ -40,18 +37,37 @@
 #include <vector>
 
 #include "kriging/empirical_variogram.hpp"
-#include "kriging/ordinary_kriging.hpp"
-#include "kriging/universal_kriging.hpp"
 #include "kriging/variogram_model.hpp"
 #include "linalg/ldlt.hpp"
 
 namespace ace::kriging {
 
+/// Result of one kriging interpolation.
+struct KrigingResult {
+  double estimate = 0.0;       ///< λ̂(e_i).
+  double variance = 0.0;       ///< Kriging variance (>= 0 up to round-off).
+  bool regularized = false;    ///< Ridge fallback was used on Γ.
+  double ridge = 0.0;          ///< Diagonal shift used (0 when unregularized).
+  double rcond = 0.0;          ///< Pivot-ratio condition estimate of the solve.
+  std::vector<double> weights; ///< The μ_k of Eq. 3 (size N).
+};
+
+/// Drift (trend) models for universal kriging.
+enum class DriftKind {
+  kConstant,  ///< f = [1]: identical to ordinary kriging.
+  kLinear,    ///< f = [1, e_1, …, e_Nv]: linear trend per coordinate.
+};
+
 /// Which estimator's system to assemble.
 enum class SystemKind {
   kOrdinary,   ///< Bordered Γ of paper Eq. 9 (ones-border, Lagrange).
-  kSimple,     ///< Covariance system C·w = c_q (no border).
-  kUniversal,  ///< Drift-bordered [Γ F; Fᵀ 0] system.
+  /// Covariance system C·w = c_q (no border), λ̂ = m + Σ w_k (λ_k − m):
+  /// the caller supplies the mean m and the sill of C(d) = sill − γ(d).
+  kSimple,
+  /// Drift-bordered [Γ F; Fᵀ 0] system. A linear drift needs at least
+  /// dim + 2 unique support points and degrades to the constant drift
+  /// (= ordinary kriging) below that.
+  kUniversal,
 };
 
 /// Full description of one kriging system's estimator.
@@ -84,7 +100,7 @@ struct SystemStats {
 class KrigingSystem {
  public:
   enum class Layout {
-    kAllInBase,    ///< Whole system in the LU base: legacy bit-identity.
+    kAllInBase,    ///< Whole system in the LU base: the reference path.
     kIncremental,  ///< Minimal base + Schur appends: cheap extend/downdate.
   };
 
@@ -232,7 +248,7 @@ class KrigingSystem {
   bool refresh_border();
 
   /// Scale for the ridge ladder: max(|A|, 1) of the unshifted matrix —
-  /// the exact scale linalg::robust_solve uses.
+  /// the ridge is relative to the matrix magnitude.
   double ladder_scale() const;
 
   SystemSpec spec_;

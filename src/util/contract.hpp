@@ -1,8 +1,8 @@
 // Numerical contracts: debug-checked, release-free invariants.
 //
-// Kriging correctness rests on silent mathematical preconditions — SPD
-// covariance for Cholesky, valid (conditionally negative-definite)
-// variogram models, kriging weights summing to 1 — that a wrong-but-finite
+// Kriging correctness rests on silent mathematical preconditions — non-
+// zero LU pivots, valid (conditionally negative-definite) variogram
+// models, kriging weights summing to 1 — that a wrong-but-finite
 // number sails straight through the NaN guards of the fault subsystem.
 // The ACE_REQUIRE / ACE_ENSURE / ACE_INVARIANT macros make those
 // preconditions, postconditions and invariants *checkable*: active in

@@ -7,7 +7,7 @@
 #include <sstream>
 
 #include "core/table1.hpp"
-#include "kriging/universal_kriging.hpp"
+#include "kriging/system.hpp"
 
 namespace {
 

@@ -1,7 +1,7 @@
-// The pluggable acquisition layer (ISSUE 10): gate semantics in
-// isolation, make_gate's legacy-option absorption, and the policy-level
-// wiring — LOO calibration after refits, per-gate counters, and the
-// restore-replay reconstruction of gate state.
+// The pluggable acquisition layer: gate semantics in isolation, make_gate's
+// one-gate-per-kind mapping, and the policy-level wiring — LOO calibration
+// after refits, per-gate counters, and the restore-replay reconstruction
+// of gate state.
 #include "dse/acquisition.hpp"
 
 #include <gtest/gtest.h>
@@ -57,17 +57,18 @@ TEST(AcquisitionGate, NeighbourCountGateReproducesThePaperRule) {
   EXPECT_EQ(stats.variance_rejections, 0u);
 }
 
-TEST(AcquisitionGate, LegacyVarianceOptionSelectsTheVarianceGate) {
-  // variance_gate predates the seam: a positive value on the default gate
-  // kind must keep meaning what it always meant.
+TEST(AcquisitionGate, VarianceGateRejectsAboveCeilingTimesSill) {
   d::PolicyOptions o;
   o.nn_min = 1;
   o.variance_gate = 0.5;
+  // variance_gate is only the VarianceGate's ceiling: on its own it does
+  // not change which gate the default kind builds.
+  EXPECT_EQ(d::make_gate(o)->kind(), d::GateKind::kNeighbourCount);
+  o.gate = d::GateKind::kVariance;
   const auto gate = d::make_gate(o);
   ASSERT_EQ(gate->kind(), d::GateKind::kVariance);
   d::PolicyStats stats;
-  // The exact legacy predicate: reject when variance > gate · sill, only
-  // when both the ceiling and the sill are known.
+  // Reject when variance > ceiling · sill, only when the sill is known.
   EXPECT_TRUE(gate->accept(solution(0.0, 0.5, 1.0), stats));
   EXPECT_FALSE(gate->accept(solution(0.0, 0.51, 1.0), stats));
   EXPECT_EQ(stats.variance_rejections, 1u);
@@ -75,9 +76,26 @@ TEST(AcquisitionGate, LegacyVarianceOptionSelectsTheVarianceGate) {
   EXPECT_EQ(stats.variance_rejections, 1u);
 }
 
+// make_gate is one gate per GateKind: the variance ceiling sets a
+// parameter of the variance gate and never selects a gate.
+TEST(AcquisitionGate, MakeGateBuildsTheGateItsKindNames) {
+  for (const double ceiling : {0.5, 1.0, 2.0}) {
+    for (const auto kind :
+         {d::GateKind::kNeighbourCount, d::GateKind::kVariance,
+          d::GateKind::kLooCalibrated, d::GateKind::kSequentialDesign}) {
+      d::PolicyOptions o;
+      o.gate = kind;
+      o.variance_gate = ceiling;
+      o.gate_lambda_min = 0.0;
+      EXPECT_EQ(d::make_gate(o)->kind(), kind)
+          << d::gate_name(kind) << " ceiling " << ceiling;
+    }
+  }
+}
+
 TEST(AcquisitionGate, ExplicitVarianceGateDefaultsItsCeiling) {
   d::PolicyOptions o;
-  o.gate = d::GateKind::kVariance;  // variance_gate left at 0.
+  o.gate = d::GateKind::kVariance;  // variance_gate left at its default.
   const auto gate = d::make_gate(o);
   ASSERT_EQ(gate->kind(), d::GateKind::kVariance);
   d::PolicyStats stats;

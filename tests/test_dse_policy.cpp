@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -149,9 +150,15 @@ TEST(KrigingPolicy, RefitModelRequiresEnoughData) {
 }
 
 TEST(KrigingPolicy, RejectsNegativeVarianceGate) {
-  d::PolicyOptions o;
-  o.variance_gate = -0.5;
-  EXPECT_THROW(d::KrigingPolicy{o}, std::invalid_argument);
+  // The ceiling must be finite and > 0: a NaN ceiling never vetoes, and
+  // 0 vetoes every interpolation whose sill is known.
+  for (const double bad :
+       {-0.5, 0.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    d::PolicyOptions o;
+    o.variance_gate = bad;
+    EXPECT_THROW(d::KrigingPolicy{o}, std::invalid_argument) << bad;
+  }
 }
 
 TEST(KrigingPolicy, RegressionKrigingCapturesLinearTrend) {
@@ -200,6 +207,7 @@ TEST(KrigingPolicy, VarianceGateRejectsFarExtrapolations) {
     return static_cast<double>(c[0] * c[0]);
   };
   d::PolicyOptions gated = small_fit_options(12);
+  gated.gate = d::GateKind::kVariance;
   gated.variance_gate = 0.05;  // Very strict.
   d::KrigingPolicy policy(gated);
   std::size_t sims = 0;

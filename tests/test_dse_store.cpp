@@ -5,7 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "kriging/ordinary_kriging.hpp"
+#include "kriging/system.hpp"
 #include "kriging/variogram_model.hpp"
 #include "util/contract.hpp"
 #include "util/errors.hpp"
@@ -145,7 +145,7 @@ TEST(SimulationStore, DeduplicationKeepsKrigingWellPosed) {
 
   const ace::kriging::LinearVariogram model(0.0, 1.0);
   const auto result =
-      ace::kriging::krige(points, values, {1.0, 1.0}, model);
+      ace::kriging::KrigingSystem({}, points, values, model).query({1.0, 1.0});
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->regularized);
 }

@@ -159,7 +159,7 @@ TEST(EmpiricalVariogram, ExtendValidatesSizes) {
 
 TEST(EmpiricalVariogram, ExtendRejectsNonFiniteWithoutTouchingBins) {
   // Regression guard: one NaN sample used to poison every bin its pairs
-  // fell into, silently degrading krige() from then on. Now the batch is
+  // fell into, silently degrading kriging from then on. Now the batch is
   // validated up front and a bad batch leaves the accumulators untouched.
   k::EmpiricalVariogram ev({{0.0}, {1.0}, {2.0}}, {0.0, 1.0, 4.0});
   const auto bins_before = ev.bins();

@@ -1,9 +1,12 @@
-// KrigingSystem: the shared assembly/solve layer behind all three
-// estimators. The property at stake (ISSUE 5): a system grown or shrunk
-// incrementally answers queries like a system built from scratch on the
-// same support — weights and variance within 1e-10 — across random
-// support sets, all three estimators, the ridge-fallback path, the
-// Lagrange/drift border, and coincident-point dedupe.
+// KrigingSystem: the library's one kriging solve path. Two properties are
+// at stake: the all-in-base system agrees with an independent dense
+// reference solve of the full bordered system, and a system grown or
+// shrunk incrementally answers queries like a system built from scratch
+// on the same support — weights and variance within 1e-10 — across random
+// support sets, all three estimator kinds, the ridge-fallback path, the
+// Lagrange/drift border, and coincident-point dedupe. The RobustSolve
+// cases pin what each rung of the ridge ladder reports on small systems
+// known in closed form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,11 +15,11 @@
 #include <optional>
 #include <vector>
 
-#include "kriging/ordinary_kriging.hpp"
-#include "kriging/simple_kriging.hpp"
 #include "kriging/system.hpp"
-#include "kriging/universal_kriging.hpp"
 #include "kriging/variogram_model.hpp"
+#include "linalg/lu.hpp"
+#include "linalg/matrix.hpp"
+#include "linalg/vector.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -69,43 +72,132 @@ void expect_same_result(const std::optional<k::KrigingResult>& a,
     EXPECT_NEAR(a->weights[i], b->weights[i], tol) << "weight " << i;
 }
 
-TEST(KrigingSystem, AllInBaseMatchesLegacyEstimatorsExactly) {
-  const k::SphericalVariogram model(0.1, 2.0, 8.0);
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    const auto inst = make_instance(3, 6, seed);
-    {
-      k::KrigingSystem sys({k::SystemKind::kOrdinary}, inst.points,
-                           inst.values, model);
-      const auto got = sys.query(inst.query);
-      const auto expect =
-          k::krige(inst.points, inst.values, inst.query, model);
-      ASSERT_TRUE(got && expect);
-      EXPECT_EQ(got->estimate, expect->estimate);
-      EXPECT_EQ(got->variance, expect->variance);
-      EXPECT_EQ(got->weights, expect->weights);
+/// What one plain dense solve says about a system.
+struct DenseSolve {
+  bool regularized = true;  ///< Singular or unacceptable without a ridge.
+  double estimate = 0.0;
+  double variance = 0.0;
+  std::vector<double> weights;
+};
+
+/// Independent reference: hand-assemble the full system for `spec` in
+/// textbook form — the ones-border (ordinary), the covariance form
+/// C(d) = max(sill − γ(d), 0) (simple), the [1, x] drift border
+/// (universal, linear drift) — and solve it once with a pivoted LU. No
+/// dedupe, no layouts, no ladder: a solve that is singular, non-finite or
+/// beyond 1e6 in max-abs is reported as needing regularization. The
+/// support must be distinct and, for a linear drift, hold at least
+/// dim + 2 points.
+DenseSolve dense_reference(const k::SystemSpec& spec, const Instance& inst,
+                           const k::VariogramModel& model) {
+  const bool simple = spec.kind == k::SystemKind::kSimple;
+  const auto entry = [&](double d) {
+    return simple ? std::max(spec.sill - model.gamma(d), 0.0)
+                  : model.gamma(d);
+  };
+  const auto basis = [&](const std::vector<double>& x) {
+    std::vector<double> f;
+    if (simple) return f;
+    f.push_back(1.0);
+    if (spec.kind == k::SystemKind::kUniversal &&
+        spec.drift == k::DriftKind::kLinear)
+      f.insert(f.end(), x.begin(), x.end());
+    return f;
+  };
+  const std::size_t n = inst.points.size();
+  const std::vector<double> fq = basis(inst.query);
+  const std::size_t m = n + fq.size();
+  ace::linalg::Matrix a(m, m);
+  ace::linalg::Vector rhs(m);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j)
+      a(i, j) = entry(k::l1_distance(inst.points[i], inst.points[j]));
+    const std::vector<double> fi = basis(inst.points[i]);
+    for (std::size_t l = 0; l < fi.size(); ++l) {
+      a(i, n + l) = fi[l];
+      a(n + l, i) = fi[l];
     }
-    {
-      k::KrigingSystem sys(
-          {k::SystemKind::kSimple, k::DriftKind::kConstant, 25.0, 0.5},
-          inst.points, inst.values, model);
-      const auto got = sys.query(inst.query);
-      const auto expect = k::simple_krige(inst.points, inst.values,
-                                          inst.query, model, 25.0, 0.5);
-      ASSERT_TRUE(got && expect);
-      EXPECT_EQ(got->estimate, expect->estimate);
-      EXPECT_EQ(got->weights, expect->weights);
+    rhs[i] = entry(k::l1_distance(inst.query, inst.points[i]));
+  }
+  for (std::size_t l = 0; l < fq.size(); ++l) rhs[n + l] = fq[l];
+
+  DenseSolve out;
+  const ace::linalg::LuDecomposition lu(a);
+  if (lu.singular()) return out;
+  const ace::linalg::Vector x = lu.solve(rhs);
+  for (std::size_t i = 0; i < m; ++i)
+    if (!std::isfinite(x[i]) || std::abs(x[i]) > 1e6) return out;
+  out.regularized = false;
+  double estimate = simple ? spec.mean : 0.0;
+  double variance = simple ? entry(0.0) : 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.weights.push_back(x[i]);
+    if (simple) {
+      estimate += x[i] * (inst.values[i] - spec.mean);
+      variance -= x[i] * rhs[i];
+    } else {
+      estimate += x[i] * inst.values[i];
+      variance += x[i] * rhs[i];
     }
-    {
-      k::KrigingSystem sys({k::SystemKind::kUniversal, k::DriftKind::kLinear},
-                           inst.points, inst.values, model);
-      const auto got = sys.query(inst.query);
-      const auto expect =
-          k::krige_with_drift(inst.points, inst.values, inst.query, model,
-                              k::DriftKind::kLinear);
-      ASSERT_TRUE(got && expect);
-      EXPECT_EQ(got->estimate, expect->estimate);
-      EXPECT_EQ(got->weights, expect->weights);
+  }
+  for (std::size_t l = 0; l < fq.size(); ++l) variance += x[n + l] * fq[l];
+  out.estimate = estimate;
+  out.variance = std::max(variance, 0.0);
+  return out;
+}
+
+void expect_matches_reference(const k::SystemSpec& spec, const Instance& inst,
+                              const k::VariogramModel& model) {
+  k::KrigingSystem sys(spec, inst.points, inst.values, model);
+  const auto got = sys.query(inst.query);
+  const DenseSolve expect = dense_reference(spec, inst, model);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->regularized, expect.regularized);
+  if (got->regularized || expect.regularized) return;
+  EXPECT_NEAR(got->estimate, expect.estimate, 1e-10);
+  EXPECT_NEAR(got->variance, expect.variance, 1e-10);
+  ASSERT_EQ(got->weights.size(), expect.weights.size());
+  for (std::size_t i = 0; i < expect.weights.size(); ++i)
+    EXPECT_NEAR(got->weights[i], expect.weights[i], 1e-10) << "weight " << i;
+}
+
+TEST(KrigingSystem, MatchesDenseReferenceSolve) {
+  const k::SphericalVariogram spherical(0.1, 2.0, 8.0);
+  const k::ExponentialVariogram exponential(0.0, 1.5, 6.0);
+  const k::GaussianVariogram gaussian(0.05, 3.0, 7.0);
+  const std::vector<const k::VariogramModel*> models = {
+      &spherical, &exponential, &gaussian};
+  std::uint64_t seed = 100;
+  for (std::size_t dim = 1; dim <= 3; ++dim) {
+    for (std::size_t n = dim + 2; n <= 8; n += 2) {
+      const auto inst = make_instance(dim, n, ++seed);
+      for (const auto* model : models)
+        for (const auto& spec : all_specs()) {
+          SCOPED_TRACE(::testing::Message()
+                       << "dim " << dim << " n " << n << " model "
+                       << model->name() << " kind "
+                       << static_cast<int>(spec.kind));
+          expect_matches_reference(spec, inst, *model);
+        }
     }
+  }
+}
+
+// Two support points 1e-9 apart under a nugget-free Gaussian variogram
+// (smooth at the origin, so the condition number grows like 1/δ²): the
+// plain solve is singular or blows past the 1e6 acceptability bound on
+// both paths, so both must report the ridge fallback.
+TEST(KrigingSystem, MatchesDenseReferenceOnNearSingularSystem) {
+  const k::GaussianVariogram model(0.0, 1.0, 4.0);
+  Instance inst;
+  inst.points = {{0.0, 0.0}, {1e-9, 0.0}, {3.0, 1.0}, {1.0, 4.0}};
+  inst.values = {1.0, 1.5, -2.0, 3.0};
+  inst.query = {2.0, 2.0};
+  for (const auto& spec : all_specs()) {
+    SCOPED_TRACE(::testing::Message()
+                 << "kind " << static_cast<int>(spec.kind));
+    EXPECT_TRUE(dense_reference(spec, inst, model).regularized);
+    expect_matches_reference(spec, inst, model);
   }
 }
 
@@ -222,7 +314,9 @@ TEST(KrigingSystem, CoincidentSupportIsDeduplicated) {
   EXPECT_EQ(sys.unique_size(), 5u);
 
   const auto got = sys.query(inst.query);
-  const auto expect = k::krige(inst.points, inst.values, inst.query, model);
+  const auto expect = k::KrigingSystem({k::SystemKind::kOrdinary}, inst.points,
+                                       inst.values, model)
+                          .query(inst.query);
   ASSERT_TRUE(got && expect);
   EXPECT_EQ(got->estimate, expect->estimate);
   ASSERT_EQ(got->weights.size(), 7u);
@@ -258,17 +352,100 @@ TEST(KrigingSystem, FactorIsReusedAcrossQueries) {
 TEST(KrigingSystem, UniversalDriftDegradesOnTinySupport) {
   const k::SphericalVariogram model(0.1, 2.0, 8.0);
   // 3 points in 2-D: fewer than dim + 2, so the drift degrades to the
-  // constant border — and must match the legacy estimator doing the same.
+  // constant border — the very system ordinary kriging assembles.
   const auto inst = make_instance(2, 3, 55);
   k::KrigingSystem sys({k::SystemKind::kUniversal, k::DriftKind::kLinear},
                        inst.points, inst.values, model);
   const auto got = sys.query(inst.query);
-  const auto expect = k::krige_with_drift(inst.points, inst.values,
-                                          inst.query, model,
-                                          k::DriftKind::kLinear);
+  const auto expect = k::KrigingSystem({k::SystemKind::kOrdinary}, inst.points,
+                                       inst.values, model)
+                          .query(inst.query);
   ASSERT_EQ(got.has_value(), expect.has_value());
   ASSERT_TRUE(got);
   EXPECT_EQ(got->estimate, expect->estimate);
+}
+
+// --- the ridge-fallback ladder, rung by rung ------------------------------
+//
+// Each case assembles a small system whose matrix is known in closed form
+// and checks what the ladder reports for it: no ridge on a regular
+// system, a ridge (scaled to the matrix) on a singular one, a border left
+// unshifted, and nullopt when no rung can help.
+
+// Two support points beyond the range under simple kriging: C = 2·I, a
+// regular diagonal system the plain rung solves exactly.
+TEST(RobustSolve, PlainSolveNeedsNoRegularization) {
+  const k::SphericalVariogram model(0.0, 2.0, 1.0);
+  k::KrigingSystem sys({k::SystemKind::kSimple, k::DriftKind::kConstant, 2.0,
+                        0.0},
+                       {{0.0}, {5.0}}, {1.0, 3.0}, model);
+  // c_q = [C(0.5), 0] = [2 − γ(0.5), 0], so w = [1 − γ(0.5)/2, 0].
+  const auto r = sys.query({0.5});
+  ASSERT_TRUE(r.has_value());
+  EXPECT_FALSE(r->regularized);
+  EXPECT_EQ(r->ridge, 0.0);
+  EXPECT_GT(r->rcond, 0.0);
+  EXPECT_NEAR(r->weights[0], 1.0 - model.gamma(0.5) / 2.0, 1e-12);
+  EXPECT_NEAR(r->weights[1], 0.0, 1e-12);
+}
+
+// The all-zero variogram under simple kriging gives C = J (rank 1) and
+// c_q = 1: the plain rung is singular and a ridge rescues it.
+TEST(RobustSolve, RidgeRescuesSingularSystem) {
+  const k::LinearVariogram flat(0.0, 0.0);
+  k::KrigingSystem sys({k::SystemKind::kSimple, k::DriftKind::kConstant, 1.0,
+                        0.0},
+                       {{0.0}, {1.0}}, {2.0, 2.0}, flat);
+  const auto r = sys.query({0.5});
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(r->regularized);
+  EXPECT_GT(r->ridge, 0.0);
+  // The regularized solution distributes the weight evenly.
+  EXPECT_NEAR(r->weights[0], r->weights[1], 1e-9);
+  EXPECT_NEAR(r->weights[0] + r->weights[1], 1.0, 1e-4);
+}
+
+// Ordinary kriging under the all-zero variogram assembles exactly
+// [[0 0 1] [0 0 1] [1 1 0]]: the core is all zero, and the Lagrange border
+// must stay intact so Σ weights = 1 is still enforced.
+TEST(RobustSolve, BorderRowsAreNotRegularized) {
+  const k::LinearVariogram flat(0.0, 0.0);
+  k::KrigingSystem sys({k::SystemKind::kOrdinary}, {{0.0}, {1.0}},
+                       {0.0, 0.0}, flat);
+  const auto r = sys.query({0.5});
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(r->regularized);
+  // Weights must sum to ~1 (the border constraint).
+  EXPECT_NEAR(r->weights[0] + r->weights[1], 1.0, 1e-6);
+  // Symmetric system: equal weights.
+  EXPECT_NEAR(r->weights[0], 0.5, 1e-6);
+}
+
+// A linear drift over support that never leaves the line y = 0: the
+// drift column for y is all zero, so a border row is all zero and no
+// ridge on the core can make the system regular.
+TEST(RobustSolve, GivesUpOnHopelessSystem) {
+  const k::SphericalVariogram model(0.0, 1.0, 5.0);
+  k::KrigingSystem sys({k::SystemKind::kUniversal, k::DriftKind::kLinear},
+                       {{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}, {3.0, 0.0}},
+                       {1.0, 2.0, 3.0, 4.0}, model);
+  EXPECT_FALSE(sys.query({1.5, 0.0}).has_value());
+  const auto batch = sys.query_batch({{1.5, 0.0}, {0.5, 1.0}});
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_FALSE(batch[0].has_value());
+  EXPECT_FALSE(batch[1].has_value());
+}
+
+// C = 100·J: the first ridge rung is 1e-10 times max |A| = 100.
+TEST(RobustSolve, ReportsRidgeMagnitudeScaledToMatrix) {
+  const k::LinearVariogram flat(0.0, 0.0);
+  k::KrigingSystem sys({k::SystemKind::kSimple, k::DriftKind::kConstant,
+                        100.0, 0.0},
+                       {{0.0}, {1.0}}, {200.0, 200.0}, flat);
+  const auto r = sys.query({0.5});
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(r->regularized);
+  EXPECT_GE(r->ridge, 1e-10 * 100.0);  // Scaled by max |a|.
 }
 
 TEST(KrigingSystem, ValidatesInput) {

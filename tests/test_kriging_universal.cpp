@@ -1,11 +1,22 @@
-#include "kriging/universal_kriging.hpp"
-
+// Universal kriging (kriging with a drift) through kriging::KrigingSystem
+// with SystemKind::kUniversal — an extension beyond the paper's ordinary
+// kriging (see DESIGN.md).
+//
+// Word-length accuracy surfaces are strongly trending (≈6 dB/bit), which
+// violates ordinary kriging's constant-mean assumption when the support
+// sits on one side of the query. A linear drift models
+// λ(e) = Σ_l β_l f_l(e) + Z(e) with f = [1, e_1, …, e_Nv] and borders the
+// system with one unbiasedness row per basis function; the constant basis
+// alone reduces exactly to Eq. 9-10.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
-#include "kriging/ordinary_kriging.hpp"
+#include "kriging/system.hpp"
 #include "kriging/variogram_model.hpp"
 #include "util/rng.hpp"
 
@@ -13,16 +24,32 @@ namespace {
 
 namespace k = ace::kriging;
 
+/// One-shot kriging at `query` under the given system spec.
+std::optional<k::KrigingResult> krige_at(
+    const k::SystemSpec& spec, std::vector<std::vector<double>> points,
+    std::vector<double> values, const std::vector<double>& query,
+    const k::VariogramModel& model) {
+  return k::KrigingSystem(spec, std::move(points), std::move(values), model)
+      .query(query);
+}
+
+std::optional<k::KrigingResult> with_drift(
+    std::vector<std::vector<double>> points, std::vector<double> values,
+    const std::vector<double>& query, const k::VariogramModel& model,
+    k::DriftKind drift) {
+  return krige_at({k::SystemKind::kUniversal, drift}, std::move(points),
+                  std::move(values), query, model);
+}
+
 TEST(UniversalKriging, Validation) {
   const k::LinearVariogram model(0.0, 1.0);
-  EXPECT_THROW(
-      (void)k::krige_with_drift({}, {}, {0.0}, model, k::DriftKind::kLinear),
-      std::invalid_argument);
-  EXPECT_THROW((void)k::krige_with_drift({{0.0}}, {1.0, 2.0}, {0.0}, model,
-                                         k::DriftKind::kLinear),
+  EXPECT_THROW((void)with_drift({}, {}, {0.0}, model, k::DriftKind::kLinear),
                std::invalid_argument);
-  EXPECT_THROW((void)k::krige_with_drift({{0.0, 0.0}}, {1.0}, {0.0}, model,
-                                         k::DriftKind::kLinear),
+  EXPECT_THROW((void)with_drift({{0.0}}, {1.0, 2.0}, {0.0}, model,
+                                k::DriftKind::kLinear),
+               std::invalid_argument);
+  EXPECT_THROW((void)with_drift({{0.0, 0.0}}, {1.0}, {0.0}, model,
+                                k::DriftKind::kLinear),
                std::invalid_argument);
 }
 
@@ -33,9 +60,8 @@ TEST(UniversalKriging, ConstantDriftMatchesOrdinaryKriging) {
   const std::vector<double> vals = {1.0, 2.0, 0.5, -1.0};
   for (const auto& q : std::vector<std::vector<double>>{
            {2.0, 2.0}, {0.0, 1.0}, {5.0, 5.0}}) {
-    const auto ok = k::krige(pts, vals, q, model);
-    const auto uk =
-        k::krige_with_drift(pts, vals, q, model, k::DriftKind::kConstant);
+    const auto ok = krige_at({}, pts, vals, q, model);
+    const auto uk = with_drift(pts, vals, q, model, k::DriftKind::kConstant);
     ASSERT_TRUE(ok.has_value());
     ASSERT_TRUE(uk.has_value());
     EXPECT_NEAR(ok->estimate, uk->estimate, 1e-9);
@@ -53,12 +79,11 @@ TEST(UniversalKriging, LinearDriftReproducesAffineFieldExactly) {
   for (const auto& p : pts) vals.push_back(3.0 + 2.0 * p[0]);
   const std::vector<double> query = {8.0};  // Far outside the support.
 
-  const auto uk =
-      k::krige_with_drift(pts, vals, query, model, k::DriftKind::kLinear);
+  const auto uk = with_drift(pts, vals, query, model, k::DriftKind::kLinear);
   ASSERT_TRUE(uk.has_value());
   EXPECT_NEAR(uk->estimate, 3.0 + 2.0 * 8.0, 1e-6);
 
-  const auto ok = k::krige(pts, vals, query, model);
+  const auto ok = krige_at({}, pts, vals, query, model);
   ASSERT_TRUE(ok.has_value());
   // Ordinary kriging extrapolates toward the local mean — visibly off.
   EXPECT_GT(std::abs(ok->estimate - 19.0), std::abs(uk->estimate - 19.0));
@@ -75,8 +100,7 @@ TEST(UniversalKriging, LinearDriftExactInHigherDimensions) {
   std::vector<double> vals;
   for (const auto& p : pts) vals.push_back(field(p));
   const std::vector<double> query = {4.0, 1.0, 5.0};
-  const auto uk =
-      k::krige_with_drift(pts, vals, query, model, k::DriftKind::kLinear);
+  const auto uk = with_drift(pts, vals, query, model, k::DriftKind::kLinear);
   ASSERT_TRUE(uk.has_value());
   EXPECT_NEAR(uk->estimate, field(query), 1e-5);
 }
@@ -88,8 +112,8 @@ TEST(UniversalKriging, SmallSupportFallsBackToConstantDrift) {
   const std::vector<std::vector<double>> pts = {{0.0, 0.0, 0.0},
                                                 {2.0, 0.0, 0.0}};
   const std::vector<double> vals = {1.0, 5.0};
-  const auto uk = k::krige_with_drift(pts, vals, {1.0, 0.0, 0.0}, model,
-                                      k::DriftKind::kLinear);
+  const auto uk = with_drift(pts, vals, {1.0, 0.0, 0.0}, model,
+                             k::DriftKind::kLinear);
   ASSERT_TRUE(uk.has_value());
   EXPECT_NEAR(uk->estimate, 3.0, 1e-9);  // Midpoint average.
 }
@@ -99,8 +123,7 @@ TEST(UniversalKriging, ExactAtSupportPoints) {
   const std::vector<std::vector<double>> pts = {{0.0}, {2.0}, {5.0}, {7.0}};
   const std::vector<double> vals = {1.0, -2.0, 4.0, 0.0};
   for (std::size_t i = 0; i < pts.size(); ++i) {
-    const auto r = k::krige_with_drift(pts, vals, pts[i], model,
-                                       k::DriftKind::kLinear);
+    const auto r = with_drift(pts, vals, pts[i], model, k::DriftKind::kLinear);
     ASSERT_TRUE(r.has_value());
     if (r->regularized) continue;
     EXPECT_NEAR(r->estimate, vals[i], 1e-7) << "support point " << i;
@@ -118,8 +141,8 @@ TEST(UniversalKriging, WeightsSumToOneUnderLinearDrift) {
                    static_cast<double>(rng.uniform_int(0, 8))});
     vals.push_back(rng.uniform(-5.0, 5.0));
   }
-  const auto r = k::krige_with_drift(pts, vals, {4.0, 4.0}, model,
-                                     k::DriftKind::kLinear);
+  const auto r =
+      with_drift(pts, vals, {4.0, 4.0}, model, k::DriftKind::kLinear);
   if (!r) GTEST_SKIP();  // Degenerate random geometry.
   double sum = 0.0;
   for (double w : r->weights) sum += w;

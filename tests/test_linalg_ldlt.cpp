@@ -2,12 +2,14 @@
 // kriging::KrigingSystem. The load-bearing properties are (a) base-only
 // solves are bit-identical to a plain pivoted LU and (b) any sequence of
 // append/remove edits reproduces the from-scratch solution of the
-// assembled matrix to tight tolerance.
+// assembled matrix to tight tolerance. The argument and singular-base
+// checks and an SPD residual sweep over sizes round it out.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "linalg/ldlt.hpp"
@@ -231,5 +233,72 @@ TEST(BorderedLdlt, RemoveRejectsOutOfRange) {
   la::BorderedLdlt f(random_spd(3, rng));
   EXPECT_FALSE(f.remove_point(0));  // nothing appended yet
 }
+
+TEST(BorderedLdlt, RejectsNonSquareBase) {
+  EXPECT_THROW(la::BorderedLdlt(la::Matrix(2, 3)), std::invalid_argument);
+}
+
+TEST(BorderedLdlt, SolveSizeMismatchThrows) {
+  ace::util::Rng rng(5);
+  la::BorderedLdlt f(random_spd(3, rng));
+  EXPECT_THROW((void)f.solve(la::Vector{1.0}), std::invalid_argument);
+  ASSERT_TRUE(f.append_point({0.1, 0.2, 0.3}, 5.0));
+  EXPECT_THROW((void)f.solve(random_rhs(3, rng)), std::invalid_argument);
+}
+
+TEST(BorderedLdlt, AppendSizeMismatchThrows) {
+  ace::util::Rng rng(6);
+  la::BorderedLdlt f(random_spd(3, rng));
+  EXPECT_THROW((void)f.append_point({0.1, 0.2}, 5.0), std::invalid_argument);
+  EXPECT_EQ(f.size(), 3u);
+}
+
+TEST(BorderedLdlt, SolveOnSingularBaseThrows) {
+  const la::BorderedLdlt f(la::Matrix(2, 2, 0.0));
+  ASSERT_FALSE(f.ok());
+  EXPECT_THROW((void)f.solve(la::Vector{1.0, 1.0}), std::runtime_error);
+}
+
+TEST(BorderedLdlt, AppendOnSingularBaseThrows) {
+  la::BorderedLdlt f(la::Matrix(2, 2, 0.0));
+  ASSERT_FALSE(f.ok());
+  EXPECT_THROW((void)f.append_point({0.0, 0.0}, 1.0), std::runtime_error);
+}
+
+/// Random SPD matrix Bᵀ·B + I (not diagonally dominant, unlike
+/// random_spd above).
+la::Matrix random_gram(std::size_t n, ace::util::Rng& rng) {
+  la::Matrix b(n, n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c) b(r, c) = rng.uniform(-1.0, 1.0);
+  la::Matrix spd = b.transposed() * b;
+  for (std::size_t i = 0; i < n; ++i) spd(i, i) += 1.0;
+  return spd;
+}
+
+class BorderedLdltResidualTest : public ::testing::TestWithParam<std::size_t> {
+};
+
+// Everything past the 1×1 base enters through append_point, so all but
+// one pivot of the solve runs through the Schur-complement LDLT.
+TEST_P(BorderedLdltResidualTest, SolvesRandomSpdSystems) {
+  const std::size_t n = GetParam();
+  ace::util::Rng rng(n * 7919 + 1);
+  const la::Matrix a = random_gram(n, rng);
+  la::BorderedLdlt f(leading_block(a, 1));
+  ASSERT_TRUE(f.ok());
+  for (std::size_t m = 1; m < n; ++m) {
+    std::vector<double> coupling(m);
+    for (std::size_t i = 0; i < m; ++i) coupling[i] = a(m, i);
+    ASSERT_TRUE(f.append_point(coupling, a(m, m))) << "append " << m;
+  }
+  ASSERT_EQ(f.size(), n);
+  const la::Vector b = random_rhs(n, rng);
+  const la::Vector x = f.solve(b);
+  EXPECT_LT((a * x - b).norm_inf(), 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, BorderedLdltResidualTest,
+                         ::testing::Values<std::size_t>(1, 2, 4, 7, 12, 20));
 
 }  // namespace

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
-#include "kriging/ordinary_kriging.hpp"
+#include "kriging/system.hpp"
 #include "kriging/variogram_model.hpp"
 #include "util/rng.hpp"
 
@@ -54,13 +56,21 @@ Instance make_instance(const Scenario& s) {
   return inst;
 }
 
+/// One-shot ordinary kriging at `query`.
+std::optional<k::KrigingResult> ordinary(
+    std::vector<std::vector<double>> points, std::vector<double> values,
+    const std::vector<double>& query, const k::VariogramModel& model) {
+  return k::KrigingSystem({}, std::move(points), std::move(values), model)
+      .query(query);
+}
+
 class KrigingInvariantTest : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(KrigingInvariantTest, WeightsSumToOneForAllModels) {
   const auto inst = make_instance(GetParam());
   for (int which = 0; which < 4; ++which) {
     const auto model = model_for(which);
-    const auto r = k::krige(inst.points, inst.values, inst.query, *model);
+    const auto r = ordinary(inst.points, inst.values, inst.query, *model);
     if (!r) continue;  // Degenerate geometry: fallback is allowed.
     double sum = 0.0;
     for (double w : r->weights) sum += w;
@@ -72,7 +82,7 @@ TEST_P(KrigingInvariantTest, ExactAtEverySupportPoint) {
   const auto inst = make_instance(GetParam());
   const auto model = model_for(static_cast<int>(GetParam().seed));
   for (std::size_t i = 0; i < inst.points.size(); ++i) {
-    const auto r = k::krige(inst.points, inst.values, inst.points[i], *model);
+    const auto r = ordinary(inst.points, inst.values, inst.points[i], *model);
     ASSERT_TRUE(r.has_value());
     if (r->regularized) continue;  // Ridge trades exactness for solvability.
     EXPECT_NEAR(r->estimate, inst.values[i], 1e-6)
@@ -85,10 +95,10 @@ TEST_P(KrigingInvariantTest, TranslationInvarianceInValues) {
   // by c.
   const auto inst = make_instance(GetParam());
   const auto model = model_for(1);
-  const auto base = k::krige(inst.points, inst.values, inst.query, *model);
+  const auto base = ordinary(inst.points, inst.values, inst.query, *model);
   auto shifted = inst.values;
   for (double& v : shifted) v += 100.0;
-  const auto moved = k::krige(inst.points, shifted, inst.query, *model);
+  const auto moved = ordinary(inst.points, shifted, inst.query, *model);
   if (!base || !moved) GTEST_SKIP();
   EXPECT_NEAR(moved->estimate, base->estimate + 100.0, 1e-5);
 }
@@ -96,10 +106,10 @@ TEST_P(KrigingInvariantTest, TranslationInvarianceInValues) {
 TEST_P(KrigingInvariantTest, ScaleEquivarianceInValues) {
   const auto inst = make_instance(GetParam());
   const auto model = model_for(2);
-  const auto base = k::krige(inst.points, inst.values, inst.query, *model);
+  const auto base = ordinary(inst.points, inst.values, inst.query, *model);
   auto scaled = inst.values;
   for (double& v : scaled) v *= -3.0;
-  const auto moved = k::krige(inst.points, scaled, inst.query, *model);
+  const auto moved = ordinary(inst.points, scaled, inst.query, *model);
   if (!base || !moved) GTEST_SKIP();
   // Weights depend only on geometry; the estimate is Σ w λ, hence scales.
   EXPECT_NEAR(moved->estimate, -3.0 * base->estimate, 1e-5);
@@ -122,7 +132,7 @@ TEST_P(KrigingInvariantTest, AffineFieldsAreReproducedNearSupport) {
   for (std::size_t i = 0; i < inst.points.size(); ++i)
     inst.values[i] = affine(inst.points[i]);
   const k::LinearVariogram model(0.0, 1.0);
-  const auto r = k::krige(inst.points, inst.values, inst.query, model);
+  const auto r = ordinary(inst.points, inst.values, inst.query, model);
   if (!r || r->regularized) GTEST_SKIP();
   // 1-D affine reproduction is exact; in higher dimensions under L1
   // geometry it is near-exact within the sampled box.

@@ -21,7 +21,6 @@
 
 #include "dse/config.hpp"
 #include "dse/sim_store.hpp"
-#include "kriging/ordinary_kriging.hpp"
 #include "kriging/system.hpp"
 #include "kriging/variogram_model.hpp"
 #include "linalg/ldlt.hpp"

@@ -20,13 +20,6 @@ iostream-logging  std::cout / std::cerr / printf in library code. The
 wallclock-time    Wall-clock time sources (system_clock, time(), localtime,
                   ...). Timestamps make checkpoint/replay nondeterministic;
                   durations must use steady_clock.
-kriging-direct-solve
-                  linalg::robust_solve / lu_solve / LuDecomposition in an
-                  estimator wrapper (*_kriging.cpp/.hpp). The wrappers must
-                  route every solve through kriging::KrigingSystem — it
-                  owns assembly, the ridge ladder, dedupe and the
-                  factorization reuse; a direct solver call would fork the
-                  numerics the factor cache relies on being identical.
 raw-distance-loop Hand-rolled distance accumulation
                   (`acc += abs(a - b)` and friends) outside the SIMD
                   kernel layer (src/util/simd*). Scans and assembly must
@@ -137,20 +130,6 @@ RULES = [
         "deterministic — use steady_clock for durations",
     ),
     (
-        "kriging-direct-solve",
-        re.compile(
-            r"linalg::robust_solve\b"
-            r"|linalg::lu_solve\b"
-            r"|linalg::LuDecomposition\b"
-            r"|\brobust_solve\s*\("
-            r"|\blu_solve\s*\("
-            r"|\bLuDecomposition\b"
-        ),
-        "direct linear solve in an estimator wrapper; route the solve "
-        "through kriging::KrigingSystem (it owns assembly, the ridge "
-        "ladder and factor reuse)",
-    ),
-    (
         "raw-distance-loop",
         re.compile(r"\+=\s*(?:std::)?f?abs\s*\([^)]*-"),
         "hand-rolled distance accumulation; use the util::simd kernels or "
@@ -235,14 +214,6 @@ class _Guard:
 # src/util/ is the one place the raw lock types may appear: the annotated
 # wrappers are implemented there.
 RAW_MUTEX_EXEMPT = re.compile(r"(?:^|/)src/util/[^/]+$")
-
-# kriging-direct-solve is scoped *to* the estimator wrappers: any file
-# whose basename matches *_kriging.<c++ ext> (ordinary_kriging.cpp,
-# simple_kriging.cpp, universal_kriging.cpp — and the selftest fixture
-# violations_kriging.cpp). Everywhere else the solver types are legal.
-KRIGING_WRAPPER_SCOPE = re.compile(
-    r"(?:^|/)[^/]*_kriging\.(?:cpp|hpp|cc|hh|cxx|h)$"
-)
 
 # The SIMD kernel layer is where the raw distance loops *live*; the
 # scalar reference twins are the canonical loop by definition.
@@ -396,9 +367,6 @@ def lint_file(path: Path) -> list[Finding]:
                 continue
             if rule == "raw-mutex" and RAW_MUTEX_EXEMPT.search(
                     path.as_posix()):
-                continue
-            if rule == "kriging-direct-solve" and \
-                    not KRIGING_WRAPPER_SCOPE.search(path.as_posix()):
                 continue
             if rule == "raw-distance-loop" and RAW_DISTANCE_EXEMPT.search(
                     path.as_posix()):

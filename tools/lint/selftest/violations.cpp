@@ -46,15 +46,6 @@ void clocks() {
   (void)now; (void)stamp;
 }
 
-// kriging-direct-solve is scoped to *_kriging.* basenames; this file is
-// outside the scope, so direct solver use here must stay unflagged (any
-// finding would be a self-test false positive).
-void out_of_scope_solver_use() {
-  auto w = linalg::robust_solve(gamma, rhs);
-  linalg::LuDecomposition lu(gamma);
-  (void)w;
-}
-
 double raw_distance_loops(const double* a, const double* b, int n) {
   double acc = 0.0;
   for (int i = 0; i < n; ++i)
