@@ -10,14 +10,25 @@
 // sharing one simulation pool. If the determinism contract holds here, it
 // holds.
 //
+// One 210-session pass lasts tens of milliseconds, so both the sequential
+// reference and the service pass repeat until each has run for at least
+// kMinSeconds; timings are per-pass medians with their quartiles, and
+// latencies pool every service pass.
+//
 // Output: human-readable summary plus BENCH_serve.json (the standing
-// perf-trajectory artifact; CI uploads it, and a snapshot is committed).
+// perf-trajectory artifact; CI uploads it, and a snapshot is committed),
+// which records the host, CPU count, build type and commit it ran on.
 // Exit code 1 on any per-session divergence.
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/benchmarks.hpp"
@@ -33,6 +44,12 @@ namespace d = ace::dse;
 namespace s = ace::serve;
 
 constexpr std::size_t kSessions = 210;  // >= 200 per the acceptance bar.
+constexpr double kMinSeconds = 1.0;     // Per timed phase, summed over passes.
+constexpr std::size_t kMinPasses = 3;   // Enough for quartiles.
+
+#ifndef ACE_BUILD_TYPE
+#define ACE_BUILD_TYPE "unknown"
+#endif
 
 /// Mixed workload: rotate FIR (Nv=2) / IIR (Nv=5) / FFT (Nv=10), varying
 /// seed and constraint so no two sessions share a surface. Small lattices
@@ -81,6 +98,27 @@ double percentile(std::vector<double> xs, double p) {
   return xs[std::min(rank, xs.size() - 1)];
 }
 
+std::string host_name() {
+  char host[256] = {};
+  if (gethostname(host, sizeof host - 1) != 0) return "unknown";
+  return host;
+}
+
+/// The checkout's commit ("-dirty" with local changes) when run inside
+/// a git work tree, else "unknown".
+std::string commit_id() {
+  std::string id;
+  const char* command = "git describe --always --dirty --abbrev=12 2>/dev/null";
+  if (FILE* pipe = popen(command, "r")) {
+    char buf[64] = {};
+    if (std::fgets(buf, sizeof buf, pipe) != nullptr) id = buf;
+    (void)pclose(pipe);
+  }
+  while (!id.empty() && (id.back() == '\n' || id.back() == '\r'))
+    id.pop_back();
+  return id.empty() ? "unknown" : id;
+}
+
 }  // namespace
 
 int main() {
@@ -91,14 +129,23 @@ int main() {
   specs.reserve(kSessions);
   for (std::size_t i = 0; i < kSessions; ++i) specs.push_back(make_spec(i));
 
-  // Sequential reference: each session standalone, one after another.
-  ace::util::Stopwatch watch;
+  // Sequential reference: each session standalone, one after another. The
+  // first pass's results are the identity baseline.
   std::vector<d::MinPlusOneResult> reference;
-  reference.reserve(kSessions);
-  for (const auto& spec : specs) reference.push_back(standalone(spec));
-  const double sequential_s = watch.seconds();
+  std::vector<double> sequential_walls;
+  double sequential_total = 0.0;
+  while (sequential_total < kMinSeconds ||
+         sequential_walls.size() < kMinPasses) {
+    ace::util::Stopwatch watch;
+    std::vector<d::MinPlusOneResult> results;
+    results.reserve(kSessions);
+    for (const auto& spec : specs) results.push_back(standalone(spec));
+    sequential_walls.push_back(watch.seconds());
+    sequential_total += sequential_walls.back();
+    if (reference.empty()) reference = std::move(results);
+  }
 
-  // Concurrent service pass under residency pressure and backpressure.
+  // Concurrent service passes under residency pressure and backpressure.
   ace::util::ThreadPool pool(4);
   s::SessionManagerOptions options;
   options.service_threads = 4;
@@ -106,44 +153,71 @@ int main() {
   options.resident_capacity = 16;
   options.pool = &pool;
 
-  watch.restart();
-  s::SessionManager manager(options);
-  std::vector<s::SessionId> ids;
-  ids.reserve(kSessions);
-  for (const auto& spec : specs) ids.push_back(manager.create(spec));
-  // Interleave: two rotations of short slices (every session gets parked
-  // and resumed as its turn comes back around), then run each to the end.
-  for (int round = 0; round < 2; ++round)
-    for (const s::SessionId id : ids) (void)manager.submit(id, 3);
-  for (const s::SessionId id : ids) (void)manager.submit(id, 100000);
-  manager.drain();
-  const double concurrent_s = watch.seconds();
-
+  std::vector<double> service_walls;
+  double service_total = 0.0;
+  s::ServeStats stats;
+  std::vector<double> latencies;
   std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < kSessions; ++i) {
-    if (!manager.progress(ids[i]).finished ||
-        !identical(manager.min_plus_one_result(ids[i]), reference[i])) {
-      ++mismatches;
-      std::cout << "DIVERGED: session " << i << " (" << specs[i].name
-                << ")\n";
+  while (service_total < kMinSeconds || service_walls.size() < kMinPasses) {
+    ace::util::Stopwatch watch;
+    s::SessionManager manager(options);
+    std::vector<s::SessionId> ids;
+    ids.reserve(kSessions);
+    for (const auto& spec : specs) ids.push_back(manager.create(spec));
+    // Interleave: two rotations of short slices (every session gets
+    // parked and resumed as its turn comes back around), then run each to
+    // the end.
+    for (int round = 0; round < 2; ++round)
+      for (const s::SessionId id : ids) (void)manager.submit(id, 3);
+    for (const s::SessionId id : ids) (void)manager.submit(id, 100000);
+    manager.drain();
+    service_walls.push_back(watch.seconds());
+    service_total += service_walls.back();
+
+    for (std::size_t i = 0; i < kSessions; ++i) {
+      if (!manager.progress(ids[i]).finished ||
+          !identical(manager.min_plus_one_result(ids[i]), reference[i])) {
+        ++mismatches;
+        std::cout << "DIVERGED: pass " << service_walls.size() << " session "
+                  << i << " (" << specs[i].name << ")\n";
+      }
     }
+    const s::ServeStats pass = manager.stats();
+    stats.requests += pass.requests;
+    stats.steps += pass.steps;
+    stats.parks += pass.parks;
+    stats.resumes += pass.resumes;
+    stats.backpressure_waits += pass.backpressure_waits;
+    const std::vector<double> pass_latencies = manager.request_latencies_ms();
+    latencies.insert(latencies.end(), pass_latencies.begin(),
+                     pass_latencies.end());
   }
 
-  const s::ServeStats stats = manager.stats();
-  const std::vector<double> latencies = manager.request_latencies_ms();
+  const std::size_t passes = service_walls.size();
   const double p50 = percentile(latencies, 0.50);
   const double p99 = percentile(latencies, 0.99);
   const double throughput =
-      static_cast<double>(stats.steps) / std::max(concurrent_s, 1e-9);
+      static_cast<double>(stats.steps) / std::max(service_total, 1e-9);
+  const std::string host = host_name();
+  const unsigned cpus = std::thread::hardware_concurrency();
+  const std::string commit = commit_id();
 
-  std::cout << "sessions:            " << kSessions << "\n"
+  std::cout << "context:             " << host << ", " << cpus << " CPUs, "
+            << ACE_BUILD_TYPE << ", commit " << commit << "\n"
+            << "sessions:            " << kSessions << "\n"
+            << "service passes:      " << passes << " (sequential "
+            << sequential_walls.size() << ")\n"
             << "requests:            " << stats.requests << "\n"
             << "optimizer steps:     " << stats.steps << "\n"
             << "parks / resumes:     " << stats.parks << " / "
             << stats.resumes << "\n"
             << "backpressure waits:  " << stats.backpressure_waits << "\n"
-            << "sequential wall:     " << sequential_s << " s\n"
-            << "service wall:        " << concurrent_s << " s\n"
+            << "sequential wall:     " << percentile(sequential_walls, 0.5)
+            << " s per pass (median)\n"
+            << "service wall:        " << percentile(service_walls, 0.5)
+            << " s per pass (median; quartiles "
+            << percentile(service_walls, 0.25) << " / "
+            << percentile(service_walls, 0.75) << ")\n"
             << "throughput:          " << throughput << " steps/s\n"
             << "latency p50 / p99:   " << p50 << " / " << p99 << " ms\n"
             << "decision identity:   "
@@ -153,14 +227,25 @@ int main() {
 
   std::ofstream json("BENCH_serve.json", std::ios::trunc);
   json << "{\n"
+       << "  \"context\": {\"host\": \"" << host << "\", \"cpus\": " << cpus
+       << ", \"build_type\": \"" << ACE_BUILD_TYPE << "\", \"commit\": \""
+       << commit << "\"},\n"
        << "  \"sessions\": " << kSessions << ",\n"
+       << "  \"passes\": " << passes << ",\n"
+       << "  \"sequential_passes\": " << sequential_walls.size() << ",\n"
        << "  \"requests\": " << stats.requests << ",\n"
        << "  \"steps\": " << stats.steps << ",\n"
        << "  \"parks\": " << stats.parks << ",\n"
        << "  \"resumes\": " << stats.resumes << ",\n"
        << "  \"backpressure_waits\": " << stats.backpressure_waits << ",\n"
-       << "  \"sequential_wall_s\": " << sequential_s << ",\n"
-       << "  \"service_wall_s\": " << concurrent_s << ",\n"
+       << "  \"sequential_wall_s\": " << percentile(sequential_walls, 0.5)
+       << ",\n"
+       << "  \"service_wall_s\": " << percentile(service_walls, 0.5) << ",\n"
+       << "  \"service_wall_s_p25\": " << percentile(service_walls, 0.25)
+       << ",\n"
+       << "  \"service_wall_s_p75\": " << percentile(service_walls, 0.75)
+       << ",\n"
+       << "  \"service_total_s\": " << service_total << ",\n"
        << "  \"throughput_steps_per_s\": " << throughput << ",\n"
        << "  \"latency_p50_ms\": " << p50 << ",\n"
        << "  \"latency_p99_ms\": " << p99 << ",\n"

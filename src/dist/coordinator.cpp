@@ -430,9 +430,30 @@ std::vector<util::GuardedCall> Coordinator::simulate_many(
   std::vector<util::GuardedCall> results;
   results.reserve(tasks.size());
   for (Task& task : tasks) results.push_back(std::move(task.result));
-  open_leases_.clear();  // Late stragglers next batch count as stale.
+  open_leases_.clear();  // Late stragglers count as stale from here on.
   for (Slot& slot : slots_) slot.leases.clear();
+  if (!degraded_) settle_handshakes(tasks);
   return results;
+}
+
+void Coordinator::settle_handshakes(std::vector<Task>& tasks) {
+  // The batch loop stops pumping events once every task is done, which
+  // can be before a slower worker's READY arrives; without this, that
+  // worker would read as unhealthy until the next batch. Wait for each
+  // handshake still in flight, bounded by its deadline — a worker that
+  // misses it is recycled by the next batch's expire_deadlines.
+  for (;;) {
+    bool awaiting = false;
+    Clock::time_point deadline{};
+    for (const Slot& slot : slots_) {
+      if (!slot.alive || slot.ready) continue;
+      awaiting = true;
+      deadline = std::max(deadline, slot.handshake_deadline);
+    }
+    Event event;
+    if (!awaiting || !events_.pop(event, deadline)) return;
+    handle_event(event, tasks, Clock::now());
+  }
 }
 
 std::unique_ptr<Coordinator> make_subprocess_coordinator(

@@ -183,6 +183,10 @@ class Coordinator final : public dse::BatchSimulator {
   void handle_event(const Event& event, std::vector<Task>& tasks,
                     Clock::time_point now);
   void expire_deadlines(std::vector<Task>& tasks, Clock::time_point now);
+  /// Handle events until no live worker awaits its READY (or the last
+  /// handshake deadline passes), so healthy_workers() is settled when a
+  /// batch returns. Runs after the batch's leases are cleared.
+  void settle_handshakes(std::vector<Task>& tasks);
   void run_local(Task& task);
   void finish_task(Task& task, const util::GuardedCall& call);
   Clock::time_point next_deadline(const std::vector<Task>& tasks,

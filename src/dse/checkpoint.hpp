@@ -45,9 +45,7 @@ struct Checkpoint {
   SensitivityCursor sensitivity;
 };
 
-/// The versioned text payload save_checkpoint writes, as a string. The
-/// session layer parks sessions through this (in-memory, no file), so a
-/// parked session is exactly a checkpoint the on-disk tooling could read.
+/// The versioned text payload save_checkpoint writes, as a string.
 std::string serialize_checkpoint(const Checkpoint& checkpoint);
 
 /// Parse a checkpoint payload from a stream. Throws std::runtime_error on

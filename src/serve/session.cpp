@@ -1,22 +1,11 @@
 #include "serve/session.hpp"
 
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "dse/checkpoint.hpp"
 #include "dse/scheduler.hpp"
 
 namespace ace::serve {
-
-namespace {
-
-const char* optimizer_tag(OptimizerKind kind) {
-  return kind == OptimizerKind::kMinPlusOne ? "min_plus_one"
-                                            : "steepest_descent";
-}
-
-}  // namespace
 
 SessionManager::SessionManager(SessionManagerOptions options)
     : options_(options) {
@@ -114,46 +103,21 @@ void SessionManager::drain() {
 void SessionManager::park(SessionId id) {
   util::UniqueLock lock(mutex_);
   Session& s = session_locked(id);
-  while (s.in_service || !s.pending.empty() || s.parking) lock.wait(done_cv_);
-  if (!s.policy) return;
-  // Two phases: snapshot + detach under the lock (cheap copies), render
-  // the checkpoint text outside it. `parking` keeps resumers away until
-  // the commit makes `parked` valid.
-  ParkJob job = detach_park_locked(s);
-  lock.unlock();
-  std::string text = dse::serialize_checkpoint(job.checkpoint);
-  lock.lock();
-  // `s` stays valid across the gap: sessions are never destroyed before
-  // the manager, and `parking` pins its residency state.
-  commit_park_locked(s, std::move(text));
+  while (s.in_service || !s.pending.empty()) lock.wait(done_cv_);
+  if (s.policy) park_locked(s);
 }
 
-SessionManager::ParkJob SessionManager::detach_park_locked(Session& s) {
-  ParkJob job;
-  job.id = s.id;
-  // snapshot() without record_checkpoint(): parking is a residency
+void SessionManager::park_locked(Session& s) {
+  // snapshot() without record_checkpoint(): a park is a residency
   // decision, not a durability event, so the policy's statistics stay
   // bit-identical to a standalone run that never parked.
-  job.checkpoint.policy = s.policy->snapshot();
-  job.checkpoint.optimizer = optimizer_tag(s.spec.optimizer);
-  job.checkpoint.min_plus = s.min_cursor;
-  job.checkpoint.sensitivity = s.sens_cursor;
+  s.parked = s.policy->snapshot();
   s.policy.reset();
   --resident_;
-  s.parking = true;
-  return job;
-}
-
-void SessionManager::commit_park_locked(Session& s, std::string text) {
-  s.parked = std::move(text);
-  s.parking = false;
   ++stats_.parks;
-  done_cv_.notify_all();
 }
 
-std::vector<SessionManager::ParkJob> SessionManager::collect_victims_locked(
-    const Session* keep) {
-  std::vector<ParkJob> jobs;
+void SessionManager::park_victims_locked(const Session* keep) {
   while (resident_ > options_.resident_capacity) {
     Session* victim = nullptr;
     for (auto& [id, session] : sessions_) {
@@ -164,9 +128,8 @@ std::vector<SessionManager::ParkJob> SessionManager::collect_victims_locked(
       if (victim == nullptr || s.last_touch < victim->last_touch) victim = &s;
     }
     if (victim == nullptr) break;  // Everything live is busy: defer.
-    jobs.push_back(detach_park_locked(*victim));
+    park_locked(*victim);
   }
-  return jobs;
 }
 
 void SessionManager::service_loop() {
@@ -185,73 +148,41 @@ void SessionManager::service_loop() {
     --pending_total_;
     space_cv_.notify_all();
 
-    // A parker may hold this session's detached snapshot while rendering
-    // its checkpoint off-lock; resuming before the commit would lose it.
-    while (s.parking) lock.wait(done_cv_);
-
-    // Build or resume the policy, and make room by parking idle LRU
-    // victims. The blocking work — checkpoint parse, restore replay,
-    // victim serialization — runs OUTSIDE the manager lock: a slow resume
-    // must not stall submits and steps for every other session. The
-    // resident slot is reserved up front so concurrent residency
+    // Build or resume the policy, and make room: idle LRU victims are
+    // parked. The restore replay runs OUTSIDE the manager lock: a slow
+    // resume must not stall submits and steps for every other session.
+    // The resident slot is reserved up front so concurrent residency
     // enforcement counts this session; in_service keeps every other
     // thread away from its cursors and policy slot, and spec is immutable
     // after create(), so the off-lock reads are race-free.
-    const bool resume = s.policy == nullptr;
-    std::vector<ParkJob> victims;
-    if (resume) {
+    const bool start = s.policy == nullptr;
+    std::optional<dse::PolicySnapshot> parked;
+    if (start) {
       ++resident_;
-      std::string parked = std::move(s.parked);
-      s.parked.clear();
-      victims = collect_victims_locked(&s);
-      s.last_touch = ++clock_;
+      parked.swap(s.parked);
+    }
+    park_victims_locked(&s);
+    s.last_touch = ++clock_;
+    if (start) {
       lock.unlock();
-
-      std::vector<std::pair<SessionId, std::string>> rendered;
-      rendered.reserve(victims.size());
-      for (ParkJob& job : victims)
-        rendered.emplace_back(job.id,
-                              dse::serialize_checkpoint(job.checkpoint));
       auto policy = std::make_unique<dse::KrigingPolicy>(s.spec.policy);
-      dse::Checkpoint checkpoint;
-      const bool restored = !parked.empty();
-      if (restored) {
-        std::istringstream in(parked);
-        checkpoint = dse::parse_checkpoint(in);
+      const bool resumed = parked.has_value();
+      if (resumed) {
         // Replay is bit-exact: the rebuilt store, variogram and model are
-        // exactly the snapshotted policy's (checkpoint.hpp contract).
-        policy->restore(checkpoint.policy);
+        // exactly the snapshotted policy's (KrigingPolicy::restore
+        // contract). The snapshot is freed before the lock is retaken.
+        policy->restore(*parked);
+        parked.reset();
       }
-
       lock.lock();
-      for (auto& [vid, text] : rendered)
-        commit_park_locked(*sessions_.at(vid), std::move(text));
       s.policy = std::move(policy);
-      if (restored) {
-        s.min_cursor = checkpoint.min_plus;
-        s.sens_cursor = checkpoint.sensitivity;
-        ++stats_.resumes;
-      }
-    } else {
-      victims = collect_victims_locked(&s);
-      s.last_touch = ++clock_;
-      if (!victims.empty()) {
-        lock.unlock();
-        std::vector<std::pair<SessionId, std::string>> rendered;
-        rendered.reserve(victims.size());
-        for (ParkJob& job : victims)
-          rendered.emplace_back(job.id,
-                                dse::serialize_checkpoint(job.checkpoint));
-        lock.lock();
-        for (auto& [vid, text] : rendered)
-          commit_park_locked(*sessions_.at(vid), std::move(text));
-      }
+      if (resumed) ++stats_.resumes;
     }
 
     // The cursor is stepped on a local copy outside the lock; the session
-    // is flagged in_service, so no other thread touches its state (parking
-    // skips in-service sessions, a second service thread cannot pop it —
-    // it is not in ready_ while in_service).
+    // is flagged in_service, so no other thread touches its state (victim
+    // choice skips in-service sessions, a second service thread cannot pop
+    // it — it is not in ready_ while in_service).
     dse::KrigingPolicy& policy = *s.policy;
     const SessionSpec& spec = s.spec;
     dse::MinPlusOneCursor min_cursor = s.min_cursor;

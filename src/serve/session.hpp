@@ -18,12 +18,14 @@
 // Session state vs policy state: the *session* is the durable object (its
 // spec, cursor and ticket queue live for the manager's lifetime); the
 // *policy* — store, variogram bins, fitted model, factor cache — is a
-// resident that can be parked at any quiescent point. Parking serializes
-// the policy snapshot and cursor through the dse/checkpoint text format
-// (in memory, no file), so a parked session is exactly a checkpoint the
-// on-disk tooling could read, and resuming replays it bit-identically.
-// An LRU cap on resident policies bounds memory: thousands of sessions
-// fit in a process with only `resident_capacity` stores live.
+// resident that can be parked at any quiescent point. Parking keeps the
+// policy's dse::PolicySnapshot in memory and frees the live policy; the
+// cursors never leave the session. Resuming restores a fresh policy from
+// that snapshot by replay, bit-identically (the same restore a
+// dse/checkpoint file goes through, minus the text codec: a parked
+// snapshot can always be written as a checkpoint, and restores the same
+// either way). An LRU cap on resident policies bounds memory: thousands
+// of sessions fit in a process with only `resident_capacity` stores live.
 #pragma once
 
 #include <condition_variable>
@@ -31,6 +33,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -38,7 +41,6 @@
 #include <vector>
 
 #include "dse/batch_sim.hpp"
-#include "dse/checkpoint.hpp"
 #include "dse/kriging_policy.hpp"
 #include "dse/min_plus_one.hpp"
 #include "dse/steepest_descent.hpp"
@@ -59,12 +61,12 @@ using Ticket = std::uint64_t;
 enum class OptimizerKind { kMinPlusOne, kSteepestDescent };
 
 /// Everything needed to (re)build a session's resident state from
-/// scratch. The simulator is part of the spec — it is the one piece the
-/// checkpoint format cannot carry.
+/// scratch. The simulator is part of the spec — it is the one piece a
+/// policy snapshot cannot carry.
 ///
 /// The acquisition gate is part of `policy` (PolicyOptions::gate and its
 /// thresholds), so each session picks its own simulate-vs-interpolate
-/// rule. Gate calibration state is NOT serialized when a session parks:
+/// rule. Gate calibration state is NOT part of a parked snapshot:
 /// restore replays the recorded refits, which re-run the LOO calibration
 /// pass, so a resumed session's gate is bit-identical to one that never
 /// parked.
@@ -143,9 +145,9 @@ class SessionManager {
   /// Block until every queued request has completed.
   void drain() ACE_EXCLUDES(mutex_);
 
-  /// Serialize the session's policy + cursor into the in-memory
-  /// checkpoint and release the resident state. Waits for the session to
-  /// go idle first. No-op if already parked.
+  /// Snapshot the session's policy in memory and release the resident
+  /// state. Waits for the session to go idle first. No-op if already
+  /// parked or never started.
   void park(SessionId id) ACE_EXCLUDES(mutex_);
 
   SessionProgress progress(SessionId id) const ACE_EXCLUDES(mutex_);
@@ -180,41 +182,24 @@ class SessionManager {
     dse::SensitivityCursor sens_cursor;
     /// Live policy; null when parked (or never started).
     std::unique_ptr<dse::KrigingPolicy> policy;
-    /// Serialized checkpoint of a parked session ("" = fresh start).
-    std::string parked;
+    /// Snapshot of the parked policy; empty before the first start.
+    std::optional<dse::PolicySnapshot> parked;
     std::deque<Request> pending;
     bool in_service = false;  ///< A service thread is stepping it.
     bool queued = false;      ///< Present in ready_.
-    /// Policy detached by a service thread that is serializing the
-    /// checkpoint off-lock; `parked` is not yet valid. Nobody may resume
-    /// the session until the serializer commits and clears this.
-    bool parking = false;
     std::size_t last_touch = 0;
     dse::PolicyStats last_stats;  ///< Stats at last service completion.
     std::size_t executed_steps = 0;
   };
 
-  /// A policy detached from its session for off-lock serialization: the
-  /// snapshot is taken under the manager lock (cheap — copies of columnar
-  /// store state), the checkpoint text is rendered outside it.
-  struct ParkJob {
-    SessionId id = 0;
-    dse::Checkpoint checkpoint;
-  };
-
   void service_loop();
   Session& session_locked(SessionId id) const ACE_REQUIRES(mutex_);
-  /// Snapshot the policy + cursors and release the resident slot; the
-  /// session is left `parking` until commit_park_locked. Caller serializes
-  /// the returned checkpoint OUTSIDE the lock.
-  ParkJob detach_park_locked(Session& s) ACE_REQUIRES(mutex_);
-  /// Store the rendered checkpoint text and clear `parking`.
-  void commit_park_locked(Session& s, std::string text) ACE_REQUIRES(mutex_);
-  /// LRU-detach idle residents until the resident cap holds (sessions in
-  /// service or with queued work are never victims). Returned jobs are
-  /// serialized by the caller off-lock and committed afterwards.
-  std::vector<ParkJob> collect_victims_locked(const Session* keep)
-      ACE_REQUIRES(mutex_);
+  /// Snapshot the live policy into `parked` and release its resident slot.
+  void park_locked(Session& s) ACE_REQUIRES(mutex_);
+  /// Park idle residents, least recently used first, until the resident
+  /// cap holds (sessions in service or with queued work are never
+  /// victims, nor is `keep`).
+  void park_victims_locked(const Session* keep) ACE_REQUIRES(mutex_);
 
   SessionManagerOptions options_;
   std::unique_ptr<dse::SerializingBatchSimulator> shared_backend_;
@@ -222,9 +207,9 @@ class SessionManager {
 
   /// Outermost rank in the lock hierarchy — everything the service
   /// reaches (policy, store, backend, transports) ranks above it. Nothing
-  /// blocking runs under it: checkpoint parse/serialize and restore
-  /// replay happen off-lock in service_loop/park (two-phase via
-  /// Session::parking), simulations off-lock via the in_service flag.
+  /// blocking runs under it: restore replay happens off-lock in
+  /// service_loop, simulations off-lock via the in_service flag. Parking
+  /// (a snapshot copy and a free) is the only policy work done under it.
   mutable util::Mutex mutex_{util::lock_order::Rank::kSessionManager,
                              "serve.manager"};
   std::condition_variable ready_cv_;  ///< Work available / stopping.

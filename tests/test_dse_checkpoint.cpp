@@ -6,9 +6,12 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/benchmarks.hpp"
+#include "dse/min_plus_one.hpp"
 #include "dse/scheduler.hpp"
 
 namespace {
@@ -317,6 +320,98 @@ TEST(PolicySnapshot, RestoreReplaysQuarantineBeforeAddsAndLifts) {
   EXPECT_EQ(again.configs, snapshot.configs);
   EXPECT_EQ(again.values, snapshot.values);
   EXPECT_EQ(again.quarantine, snapshot.quarantine);
+}
+
+// A parked serve session keeps its PolicySnapshot in memory instead of
+// rendering checkpoint text. This pins the property that makes that safe:
+// restoring straight from the snapshot is indistinguishable from restoring
+// through the text codec, so a parked session can always be written as a
+// checkpoint and resumes the same either way.
+TEST(Checkpoint, InMemorySnapshotRestoresLikeTextRoundTrip) {
+  ace::core::SignalBenchOptions opt;
+  opt.samples = 64;  // FFT requires a multiple of 64.
+  const ace::core::ApplicationBenchmark kernels[] = {
+      ace::core::make_fir_benchmark(opt), ace::core::make_iir_benchmark(opt),
+      ace::core::make_fft_benchmark(opt)};
+  for (const ace::core::ApplicationBenchmark& bench : kernels) {
+    SCOPED_TRACE(bench.name);
+    // Stop mid-run, at the optimizer step that first fits the variogram.
+    d::KrigingPolicy original(kriging_options());
+    d::MinPlusOneCursor cursor =
+        d::make_min_plus_one_cursor(bench.min_plus_one);
+    const auto evaluate = d::policy_batch_evaluator(original, bench.simulate);
+    bool more = true;
+    while (more && original.model() == nullptr)
+      more = d::min_plus_one_step(evaluate, bench.min_plus_one, cursor);
+    ASSERT_TRUE(more) << "run finished before the policy was mid-run";
+    ASSERT_NE(original.model(), nullptr);
+    const d::PolicySnapshot snapshot = original.snapshot();
+
+    d::KrigingPolicy in_memory(kriging_options());
+    in_memory.restore(snapshot);
+
+    d::Checkpoint checkpoint;
+    checkpoint.policy = snapshot;
+    checkpoint.optimizer = "min_plus_one";
+    checkpoint.min_plus = cursor;
+    std::istringstream text(d::serialize_checkpoint(checkpoint));
+    const d::Checkpoint parsed = d::parse_checkpoint(text);
+    EXPECT_TRUE(parsed.min_plus == cursor);
+    d::KrigingPolicy from_text(kriging_options());
+    from_text.restore(parsed.policy);
+
+    // Store, quarantine, fit events and statistics.
+    expect_snapshots_equal(in_memory.snapshot(), from_text.snapshot());
+    expect_snapshots_equal(in_memory.snapshot(), snapshot);
+    EXPECT_TRUE(in_memory.stats() == from_text.stats());
+    // Fitted model and trend, bitwise.
+    const auto model_a = in_memory.model();
+    const auto model_b = from_text.model();
+    ASSERT_NE(model_a, nullptr);
+    ASSERT_NE(model_b, nullptr);
+    EXPECT_EQ(model_a->describe(), model_b->describe());
+    for (double h = 0.0; h <= 8.0; h += 0.5)
+      EXPECT_EQ(model_a->gamma(h), model_b->gamma(h)) << "h = " << h;
+    EXPECT_EQ(in_memory.trend(), from_text.trend());
+
+    // The next evaluate_batch calls of the continued run: bit-identical
+    // outcomes from both restored policies.
+    std::vector<std::vector<d::EvalOutcome>> outcomes_a;
+    std::vector<std::vector<d::EvalOutcome>> outcomes_b;
+    const auto recording = [&bench](d::KrigingPolicy& policy,
+                                    std::vector<std::vector<d::EvalOutcome>>&
+                                        log) -> d::BatchEvaluateFn {
+      return [&policy, &log, &bench](const std::vector<d::Config>& batch) {
+        log.push_back(policy.evaluate_batch(batch, bench.simulate));
+        std::vector<double> values;
+        for (const d::EvalOutcome& outcome : log.back())
+          values.push_back(outcome.value);
+        return values;
+      };
+    };
+    const d::BatchEvaluateFn evaluate_a = recording(in_memory, outcomes_a);
+    const d::BatchEvaluateFn evaluate_b = recording(from_text, outcomes_b);
+    d::MinPlusOneCursor cursor_a = cursor;
+    d::MinPlusOneCursor cursor_b = cursor;
+    constexpr std::size_t kSteps = 4;
+    for (std::size_t k = 0; k < kSteps; ++k) {
+      const bool more_a =
+          d::min_plus_one_step(evaluate_a, bench.min_plus_one, cursor_a);
+      const bool more_b =
+          d::min_plus_one_step(evaluate_b, bench.min_plus_one, cursor_b);
+      ASSERT_EQ(more_a, more_b);
+      if (!more_a) break;
+    }
+    EXPECT_EQ(outcomes_a, outcomes_b);
+    // The continuation interpolates, so the restored models are in play.
+    std::size_t interpolated = 0;
+    for (const auto& batch : outcomes_a)
+      for (const d::EvalOutcome& outcome : batch)
+        interpolated += outcome.interpolated ? 1 : 0;
+    EXPECT_GT(interpolated, 0u);
+    EXPECT_TRUE(cursor_a == cursor_b);
+    EXPECT_TRUE(in_memory.stats() == from_text.stats());
+  }
 }
 
 TEST(PolicySnapshot, RestoreRequiresFreshPolicy) {

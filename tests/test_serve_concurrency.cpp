@@ -1,6 +1,6 @@
-// SessionManager lock-scope regression tests: resume replay and park
-// serialization run OFF the manager lock, so one slow session cannot
-// stall the service for everyone else. Named test_serve_* so
+// SessionManager lock-scope regression tests: resume replay runs OFF the
+// manager lock, so one slow session cannot stall the service for everyone
+// else, and parks racing submits and resumes keep every session intact. Named test_serve_* so
 // tools/run_sanitizers.sh picks it up for the TSan lane.
 #include "serve/session.hpp"
 
@@ -43,14 +43,14 @@ s::SessionSpec min_plus_spec(std::size_t salt) {
 }
 
 /// A spec whose finished run leaves a large store with frequent refits —
-/// its checkpoint replay takes real work, which is what the off-lock
+/// its snapshot replay takes real work, which is what the off-lock
 /// resume test needs to observe.
 s::SessionSpec heavy_spec() {
   s::SessionSpec spec;
   spec.name = "heavy";
   // Small radius + tight refit period: nearly every evaluation simulates
   // (big store) and the replay refits constantly — a deliberately
-  // expensive checkpoint.
+  // expensive snapshot.
   spec.policy.distance = 1;
   spec.policy.refit_period = 2;
   spec.optimizer = s::OptimizerKind::kMinPlusOne;
@@ -86,7 +86,7 @@ TEST(ServeConcurrency, SlowResumeDoesNotBlockOtherSessions) {
   s::SessionManager manager(options);
 
   // Session A: run to completion (big store), then park. Its resume must
-  // replay the whole checkpoint.
+  // replay the whole snapshot.
   const s::SessionId a = manager.create(heavy_spec());
   manager.wait(manager.submit(a, 1000));
   manager.park(a);
@@ -121,8 +121,8 @@ TEST(ServeConcurrency, SlowResumeDoesNotBlockOtherSessions) {
 
 TEST(ServeConcurrency, ParkResumeRacingSubmitsStaysIdentical) {
   // 12 sessions, a resident cache of 3 and explicit park() calls racing
-  // the submit stream: every combination of {parking, parked, resuming,
-  // resident} meets concurrent submits. Decision identity must survive.
+  // the submit stream: every combination of {parked, resuming, resident}
+  // meets concurrent submits. Decision identity must survive.
   constexpr std::size_t kSessions = 12;
   s::SessionManagerOptions options;
   options.service_threads = 4;

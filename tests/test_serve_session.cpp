@@ -119,7 +119,7 @@ TEST(SessionManager, ParkResumeRoundTripIsBitIdentical) {
   EXPECT_FALSE(manager.progress(id).resident);
   EXPECT_EQ(manager.resident_count(), 0u);
 
-  // Parked progress is still reportable (from the checkpointed cursor).
+  // Parked progress is still reportable (the cursor stays in the session).
   const std::size_t steps_before = manager.progress(id).steps;
   EXPECT_GT(steps_before, 0u);
 
@@ -136,6 +136,50 @@ TEST(SessionManager, ParkResumeRoundTripIsBitIdentical) {
   const auto serve_stats = manager.stats();
   EXPECT_EQ(serve_stats.parks, 1u);
   EXPECT_EQ(serve_stats.resumes, 1u);
+}
+
+TEST(SessionManager, ParkOnNeverStartedSessionIsANoOp) {
+  const s::SessionSpec spec = min_plus_spec(4);
+  s::SessionManager manager;
+  const s::SessionId id = manager.create(spec);
+  manager.park(id);  // No policy yet: nothing to snapshot.
+  EXPECT_EQ(manager.stats().parks, 0u);
+  EXPECT_EQ(manager.resident_count(), 0u);
+  EXPECT_FALSE(manager.progress(id).resident);
+
+  // The first request still starts the session fresh (not a resume).
+  manager.wait(manager.submit(id, 1000));
+  EXPECT_EQ(manager.stats().resumes, 0u);
+  expect_identical(manager.min_plus_one_result(id), standalone_min_plus(spec));
+}
+
+TEST(SessionManager, SecondParkIsANoOpAndResumeMatchesNeverParked) {
+  // Factor cache off: whole-stats equality needs it (a resumed policy's
+  // cold cache would skew the factor counters).
+  s::SessionSpec spec = min_plus_spec(6);
+  spec.policy.factor_cache_capacity = 0;
+  s::SessionManager plain;
+  const s::SessionId p = plain.create(spec);
+  plain.wait(plain.submit(p, 1000));
+  const d::PolicyStats unparked = plain.progress(p).stats;
+
+  s::SessionManager manager;
+  const s::SessionId id = manager.create(spec);
+  manager.wait(manager.submit(id, 3));
+  manager.park(id);
+  const s::ServeStats once = manager.stats();
+  EXPECT_EQ(once.parks, 1u);
+  EXPECT_EQ(manager.resident_count(), 0u);
+
+  manager.park(id);  // Already parked: must not re-snapshot or recount.
+  EXPECT_EQ(manager.stats().parks, once.parks);
+  EXPECT_EQ(manager.resident_count(), 0u);
+
+  manager.wait(manager.submit(id, 1000));
+  EXPECT_EQ(manager.stats().resumes, 1u);
+  expect_identical(manager.min_plus_one_result(id),
+                   plain.min_plus_one_result(p));
+  EXPECT_TRUE(manager.progress(id).stats == unparked);
 }
 
 TEST(SessionManager, GateBearingSessionParksAndResumesWithEqualStats) {

@@ -30,6 +30,13 @@ run_flavour() {
     echo "--- $bin"
     "$bin" --gtest_brief=1
   done
+  if [ "$preset" = tsan ]; then
+    # The park/resume lock scopes race by design; one pass rarely meets
+    # every interleaving, so TSan sees the stress tests ten times.
+    echo "--- build-$preset/tests/test_serve_concurrency x10"
+    "build-$preset"/tests/test_serve_concurrency --gtest_brief=1 \
+      --gtest_repeat=10
+  fi
 }
 
 case "$flavours" in
