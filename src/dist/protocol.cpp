@@ -1,87 +1,14 @@
 #include "dist/protocol.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
-#include <vector>
 
+#include "dse/codec.hpp"
 #include "dse/fault.hpp"
 
 namespace ace::dist {
-namespace {
 
 using dse::FaultCode;
 using dse::PayloadError;
-
-// Hexfloat round-trip, shared with the checkpoint format: "%a" prints the
-// exact bit pattern (including inf/nan), strtod restores it.
-std::string hex_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%a", v);
-  return buffer;
-}
-
-[[noreturn]] void corrupt(const std::string& what) {
-  throw PayloadError(FaultCode::kCorruptPayload, "wire: " + what);
-}
-
-/// Whitespace-token reader over one payload line.
-class Tokens {
- public:
-  explicit Tokens(const std::string& payload) : in_(payload) {}
-
-  std::string next(const char* what) {
-    std::string token;
-    if (!(in_ >> token)) corrupt(std::string("missing ") + what);
-    return token;
-  }
-
-  std::uint64_t integer(const char* what) {
-    const std::string token = next(what);
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0')
-      corrupt(std::string("bad integer for ") + what + ": " + token);
-    return static_cast<std::uint64_t>(v);
-  }
-
-  int signed_int(const char* what) {
-    const std::string token = next(what);
-    char* end = nullptr;
-    const long v = std::strtol(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0')
-      corrupt(std::string("bad integer for ") + what + ": " + token);
-    return static_cast<int>(v);
-  }
-
-  double real(const char* what) {
-    const std::string token = next(what);
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0')
-      corrupt(std::string("bad real for ") + what + ": " + token);
-    return v;
-  }
-
-  /// Everything after the tokens consumed so far, without the leading space.
-  std::string rest() {
-    std::string tail;
-    std::getline(in_, tail);
-    if (!tail.empty() && tail.front() == ' ') tail.erase(tail.begin());
-    return tail;
-  }
-
-  void done(const char* verb) {
-    std::string extra;
-    if (in_ >> extra)
-      corrupt(std::string("trailing token after ") + verb + ": " + extra);
-  }
-
- private:
-  std::istringstream in_;
-};
-
-}  // namespace
 
 std::uint64_t fnv1a64(const std::string& payload) {
   std::uint64_t hash = 0xcbf29ce484222325ull;
@@ -127,138 +54,126 @@ std::string decode_frame(const std::string& line) {
   return payload;
 }
 
+namespace {
+
+/// "<verb> <field> ...", each field as its codec token.
+template <class... Fields>
+std::string message(const char* verb, const Fields&... fields) {
+  std::string out = verb;
+  ((out += ' ', out += dse::to_token(fields)), ...);
+  return out;
+}
+
+/// Free text rides as the tail of the line; newlines would break the
+/// framing, so flatten them.
+std::string flatten(std::string text) {
+  for (char& ch : text)
+    if (ch == '\n' || ch == '\r') ch = ' ';
+  return text;
+}
+
+}  // namespace
+
 std::string encode_hello(const util::RetryOptions& retry) {
-  std::string payload = "HELLO ";
-  payload += std::to_string(kProtocolVersion);
-  payload += ' ';
-  payload += std::to_string(retry.max_attempts);
-  payload += ' ';
-  payload += hex_double(retry.base_backoff_ms);
-  payload += ' ';
-  payload += hex_double(retry.backoff_multiplier);
-  payload += ' ';
-  payload += hex_double(retry.max_backoff_ms);
-  payload += ' ';
-  payload += hex_double(retry.jitter_fraction);
-  payload += ' ';
-  payload += std::to_string(retry.jitter_seed);
-  payload += ' ';
-  payload += hex_double(retry.deadline_ms);
-  return encode_frame(payload);
+  return encode_frame(message(
+      "HELLO", kProtocolVersion, retry.max_attempts, retry.base_backoff_ms,
+      retry.backoff_multiplier, retry.max_backoff_ms, retry.jitter_fraction,
+      retry.jitter_seed, retry.deadline_ms));
 }
 
 std::string encode_ready() {
-  return encode_frame("READY " + std::to_string(kProtocolVersion));
+  return encode_frame(message("READY", kProtocolVersion));
 }
 
 std::string encode_task(std::uint64_t id, const dse::Config& config) {
-  std::string payload = "TASK ";
-  payload += std::to_string(id);
-  payload += ' ';
-  payload += std::to_string(config.size());
+  std::string payload = message("TASK", id, config.size());
   for (const int coordinate : config) {
     payload += ' ';
-    payload += std::to_string(coordinate);
+    payload += dse::to_token(coordinate);
   }
   return encode_frame(payload);
 }
 
 std::string encode_outcome(std::uint64_t id, const util::GuardedCall& call) {
-  std::string payload = "OUT ";
-  payload += std::to_string(id);
-  payload += ' ';
-  payload += std::to_string(static_cast<int>(call.fault));
-  payload += ' ';
-  payload += std::to_string(call.attempts);
-  payload += ' ';
-  payload += std::to_string(call.faulted_attempts);
-  payload += ' ';
-  payload += std::to_string(call.timeouts);
-  payload += ' ';
-  payload += hex_double(call.value);
+  std::string payload =
+      message("OUT", id, static_cast<int>(call.fault), call.attempts,
+              call.faulted_attempts, call.timeouts, call.value);
   if (!call.message.empty()) {
     payload += ' ';
-    // The message rides as the tail of the line; newlines would break the
-    // framing, so flatten them.
-    std::string flat = call.message;
-    for (char& ch : flat)
-      if (ch == '\n' || ch == '\r') ch = ' ';
-    payload += flat;
+    payload += flatten(call.message);
   }
   return encode_frame(payload);
 }
 
 std::string encode_ping(std::uint64_t nonce) {
-  return encode_frame("PING " + std::to_string(nonce));
+  return encode_frame(message("PING", nonce));
 }
 
 std::string encode_pong(std::uint64_t nonce) {
-  return encode_frame("PONG " + std::to_string(nonce));
+  return encode_frame(message("PONG", nonce));
 }
 
 std::string encode_quit() { return encode_frame("QUIT"); }
 
 std::string encode_err(const std::string& detail) {
-  std::string flat = detail;
-  for (char& ch : flat)
-    if (ch == '\n' || ch == '\r') ch = ' ';
-  return encode_frame("ERR " + flat);
+  return encode_frame("ERR " + flatten(detail));
 }
 
 WireMessage parse_message(const std::string& payload) {
-  Tokens tokens(payload);
-  const std::string verb = tokens.next("verb");
+  // The frame checksum has already shown the payload complete, so running
+  // out of tokens means a malformed message, not a cut-off one.
+  dse::TokenReader tokens(payload, "wire", FaultCode::kCorruptPayload);
+  const std::string verb(tokens.next("verb"));
   WireMessage msg;
   if (verb == "HELLO") {
     msg.type = MsgType::kHello;
-    const std::uint64_t version = tokens.integer("protocol version");
+    const std::uint64_t version = tokens.unsigned_integer("protocol version");
     if (version != static_cast<std::uint64_t>(kProtocolVersion))
-      corrupt("protocol version mismatch: " + std::to_string(version));
-    msg.retry.max_attempts =
-        static_cast<std::size_t>(tokens.integer("max_attempts"));
+      tokens.corrupt("protocol version mismatch: " +
+                     std::to_string(version));
+    msg.retry.max_attempts = tokens.unsigned_integer("max_attempts");
     msg.retry.base_backoff_ms = tokens.real("base_backoff_ms");
     msg.retry.backoff_multiplier = tokens.real("backoff_multiplier");
     msg.retry.max_backoff_ms = tokens.real("max_backoff_ms");
     msg.retry.jitter_fraction = tokens.real("jitter_fraction");
-    msg.retry.jitter_seed = tokens.integer("jitter_seed");
+    msg.retry.jitter_seed = tokens.unsigned_integer("jitter_seed");
     msg.retry.deadline_ms = tokens.real("deadline_ms");
     tokens.done("HELLO");
   } else if (verb == "READY") {
     msg.type = MsgType::kReady;
-    const std::uint64_t version = tokens.integer("protocol version");
+    const std::uint64_t version = tokens.unsigned_integer("protocol version");
     if (version != static_cast<std::uint64_t>(kProtocolVersion))
-      corrupt("protocol version mismatch: " + std::to_string(version));
+      tokens.corrupt("protocol version mismatch: " +
+                     std::to_string(version));
     tokens.done("READY");
   } else if (verb == "TASK") {
     msg.type = MsgType::kTask;
-    msg.id = tokens.integer("task id");
-    const std::uint64_t dims = tokens.integer("dimension count");
-    if (dims > 4096) corrupt("implausible task dimension count");
-    msg.config.reserve(static_cast<std::size_t>(dims));
+    msg.id = tokens.unsigned_integer("task id");
+    const std::uint64_t dims = tokens.unsigned_integer("dimension count");
+    if (dims > 4096) tokens.corrupt("implausible task dimension count");
     for (std::uint64_t i = 0; i < dims; ++i)
-      msg.config.push_back(tokens.signed_int("coordinate"));
+      msg.config.push_back(tokens.integer("coordinate"));
     tokens.done("TASK");
   } else if (verb == "OUT") {
     msg.type = MsgType::kOutcome;
-    msg.id = tokens.integer("task id");
-    const int fault = tokens.signed_int("fault code");
+    msg.id = tokens.unsigned_integer("task id");
+    const int fault = tokens.integer("fault code");
     if (fault < 0 ||
         fault > static_cast<int>(util::CallFault::kContractViolation))
-      corrupt("fault code out of range: " + std::to_string(fault));
+      tokens.corrupt("fault code out of range: " + std::to_string(fault));
     msg.call.fault = static_cast<util::CallFault>(fault);
-    msg.call.attempts = static_cast<std::size_t>(tokens.integer("attempts"));
-    msg.call.faulted_attempts =
-        static_cast<std::size_t>(tokens.integer("faulted_attempts"));
-    msg.call.timeouts = static_cast<std::size_t>(tokens.integer("timeouts"));
+    msg.call.attempts = tokens.unsigned_integer("attempts");
+    msg.call.faulted_attempts = tokens.unsigned_integer("faulted_attempts");
+    msg.call.timeouts = tokens.unsigned_integer("timeouts");
     msg.call.value = tokens.real("value");
     msg.call.message = tokens.rest();
   } else if (verb == "PING") {
     msg.type = MsgType::kPing;
-    msg.id = tokens.integer("nonce");
+    msg.id = tokens.unsigned_integer("nonce");
     tokens.done("PING");
   } else if (verb == "PONG") {
     msg.type = MsgType::kPong;
-    msg.id = tokens.integer("nonce");
+    msg.id = tokens.unsigned_integer("nonce");
     tokens.done("PONG");
   } else if (verb == "QUIT") {
     msg.type = MsgType::kQuit;
@@ -267,7 +182,7 @@ WireMessage parse_message(const std::string& payload) {
     msg.type = MsgType::kErr;
     msg.text = tokens.rest();
   } else {
-    corrupt("unknown verb: " + verb);
+    tokens.corrupt("unknown verb: " + verb);
   }
   return msg;
 }

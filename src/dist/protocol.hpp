@@ -1,10 +1,11 @@
 // Wire protocol of the coordinator/worker split.
 //
 // Line-oriented text frames over any byte channel (subprocess pipes, an
-// in-process queue pair): one message per line, doubles encoded as C99
-// hexfloats exactly like the ACE-CHECKPOINT format, so a value that
-// crossed the wire is bit-identical to one computed in-process — the
-// foundation of the distributed layer's decision-identity guarantee.
+// in-process queue pair): one message per line, numbers in the dse/codec
+// scalar encoding (doubles as C99 hexfloats, the checkpoint format's
+// encoding too), so a value that crossed the wire is bit-identical to one
+// computed in-process — the foundation of the distributed layer's
+// decision-identity guarantee.
 //
 // Every frame carries an FNV-1a 64 checksum trailer (" ~<16 hex>"):
 // a worker crash can truncate a line mid-write and chaos testing flips

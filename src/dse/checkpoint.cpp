@@ -4,11 +4,12 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
+#include <initializer_list>
+#include <iterator>
 #include <stdexcept>
 
+#include "dse/codec.hpp"
 #include "dse/scheduler.hpp"
 
 namespace ace::dse {
@@ -16,14 +17,8 @@ namespace ace::dse {
 namespace {
 
 constexpr const char* kMagic = "ACE-CHECKPOINT";
-/// Version 2 added the conditioning / factorization counters to the stats
-/// record (ridge_fallbacks, full_factorizations, factor_cache_hits,
-/// factor_extends, rcond_per_solve). Version 3 added the acquisition-gate
-/// counters (loo_rejections, sequential_rejections, loo_passes,
-/// loo_abs_error). Older files still load: each version's tail is gated on
-/// the header version, so missing fields default to zero — a v1/v2 file
-/// restores under the gate-aware policy with its variance_rejections
-/// intact and the v3 counters at their fresh-policy values.
+/// v2 and v3 each appended a tail to the stats record (kStatsTails); v1
+/// and v2 files still load.
 constexpr int kVersion = 3;
 
 /// Staging-file name for the atomic tmp+rename write. The name is unique
@@ -56,129 +51,101 @@ class TmpGuard {
   bool armed_ = true;
 };
 
-// --- writing ---------------------------------------------------------------
+/// One version's part of the "stats" record: counters, then a
+/// RunningStats (n, mean, m2, min, max).
+struct StatsTail {
+  int version;
+  std::initializer_list<std::size_t PolicyStats::*> counters;
+  util::RunningStats PolicyStats::*running;
+};
 
-void put(std::string& out, std::size_t v) {
-  out += std::to_string(v);
-  out += ' ';
+/// The "stats" record in file order. The writer emits every tail; the
+/// reader only those its file's version has, so a v1/v2 file restores with
+/// the later fields at their fresh-policy values.
+const StatsTail kStatsTails[] = {
+    {1,
+     {&PolicyStats::total, &PolicyStats::simulated, &PolicyStats::interpolated,
+      &PolicyStats::exact_hits, &PolicyStats::kriging_failures,
+      &PolicyStats::variance_rejections, &PolicyStats::refits,
+      &PolicyStats::failed_refits, &PolicyStats::simulator_faults,
+      &PolicyStats::retries, &PolicyStats::timeouts, &PolicyStats::quarantined,
+      &PolicyStats::checkpoints_written},
+     &PolicyStats::neighbors_per_interpolation},
+    // v2: conditioning / factorization counters.
+    {2,
+     {&PolicyStats::ridge_fallbacks, &PolicyStats::full_factorizations,
+      &PolicyStats::factor_cache_hits, &PolicyStats::factor_extends},
+     &PolicyStats::rcond_per_solve},
+    // v3: acquisition-gate counters.
+    {3,
+     {&PolicyStats::loo_rejections, &PolicyStats::sequential_rejections,
+      &PolicyStats::loo_passes},
+     &PolicyStats::loo_abs_error},
+};
+
+// --- writing: every value is one token followed by a space ---------------
+
+template <class... Ts>
+void put(std::string& out, const Ts&... values) {
+  ((out += to_token(values), out += ' '), ...);
 }
 
-void put(std::string& out, int v) {
-  out += std::to_string(v);
-  out += ' ';
+template <class T>
+void put_all(std::string& out, const std::vector<T>& xs) {
+  for (const T& x : xs) put(out, x);
 }
 
-void put(std::string& out, bool v) { put(out, v ? 1 : 0); }
-
-/// Hexfloat ("%a") so the double round-trips exactly; glibc also prints
-/// inf/-inf/nan here, which strtod parses back.
-void put(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  out += buf;
-  out += ' ';
-}
-
-void put_config(std::string& out, const Config& c) {
-  for (int v : c) put(out, v);
-}
-
-void put_sized(std::string& out, const std::vector<std::size_t>& xs) {
+/// A list that carries its own length, as one line.
+template <class T>
+void put_sized(std::string& out, const std::vector<T>& xs) {
   put(out, xs.size());
-  for (std::size_t v : xs) put(out, v);
-  out += '\n';
-}
-
-void put_sized(std::string& out, const Config& c) {
-  put(out, c.size());
-  put_config(out, c);
-  out += '\n';
-}
-
-void put_running_stats(std::string& out, const util::RunningStats& stats) {
-  const util::RunningStats::State rs = stats.state();
-  put(out, rs.n);
-  put(out, rs.mean);
-  put(out, rs.m2);
-  put(out, rs.min);
-  put(out, rs.max);
-}
-
-void put_stats(std::string& out, const PolicyStats& s) {
-  out += "stats ";
-  put(out, s.total);
-  put(out, s.simulated);
-  put(out, s.interpolated);
-  put(out, s.exact_hits);
-  put(out, s.kriging_failures);
-  put(out, s.variance_rejections);
-  put(out, s.refits);
-  put(out, s.failed_refits);
-  put(out, s.simulator_faults);
-  put(out, s.retries);
-  put(out, s.timeouts);
-  put(out, s.quarantined);
-  put(out, s.checkpoints_written);
-  put_running_stats(out, s.neighbors_per_interpolation);
-  // Version-2 tail: conditioning / factorization counters.
-  put(out, s.ridge_fallbacks);
-  put(out, s.full_factorizations);
-  put(out, s.factor_cache_hits);
-  put(out, s.factor_extends);
-  put_running_stats(out, s.rcond_per_solve);
-  // Version-3 tail: acquisition-gate counters.
-  put(out, s.loo_rejections);
-  put(out, s.sequential_rejections);
-  put(out, s.loo_passes);
-  put_running_stats(out, s.loo_abs_error);
+  put_all(out, xs);
   out += '\n';
 }
 
 std::string serialize(const Checkpoint& ck) {
-  std::string out;
-  out += kMagic;
+  std::string out = kMagic;
   out += ' ';
   out += std::to_string(kVersion);
-  out += '\n';
-  out += "optimizer ";
+  out += "\noptimizer ";
   out += ck.optimizer;
   out += '\n';
 
   const PolicySnapshot& p = ck.policy;
   out += "store ";
-  put(out, p.configs.size());
-  put(out, p.configs.empty() ? std::size_t{0} : p.configs.front().size());
+  put(out, p.configs.size(),
+      p.configs.empty() ? std::size_t{0} : p.configs.front().size());
   out += '\n';
   for (std::size_t i = 0; i < p.configs.size(); ++i) {
-    put_config(out, p.configs[i]);
+    put_all(out, p.configs[i]);
     put(out, p.values[i]);
     out += '\n';
   }
   out += "quarantine ";
-  put(out, p.quarantine.size());
-  put(out,
+  put(out, p.quarantine.size(),
       p.quarantine.empty() ? std::size_t{0} : p.quarantine.front().first.size());
   out += '\n';
   for (const auto& [config, code] : p.quarantine) {
     put(out, static_cast<int>(code));
-    put_config(out, config);
+    put_all(out, config);
     out += '\n';
   }
   out += "fit_events ";
   put_sized(out, p.fit_events);
-  put_stats(out, p.stats);
+
+  out += "stats ";
+  for (const StatsTail& tail : kStatsTails) {
+    for (const auto counter : tail.counters) put(out, p.stats.*counter);
+    const util::RunningStats::State rs = (p.stats.*tail.running).state();
+    put(out, rs.n, rs.mean, rs.m2, rs.min, rs.max);
+  }
+  out += '\n';
 
   const MinPlusOneCursor& m = ck.min_plus;
   out += "cursor_min_plus ";
-  put(out, m.phase);
-  put(out, m.var);
-  put(out, m.steps);
-  put(out, m.have_lambda_at_max);
-  put(out, m.have_lambda);
-  put(out, m.lambda_at_max);
-  put(out, m.lambda);
-  out += '\n';
-  out += "w_min ";
+  put(out, m.phase, m.var, m.steps, m.have_lambda_at_max, m.have_lambda,
+      m.lambda_at_max, m.lambda);
+  out += "\nw_min ";
   put_sized(out, m.w_min);
   out += "w ";
   put_sized(out, m.w);
@@ -187,13 +154,8 @@ std::string serialize(const Checkpoint& ck) {
 
   const SensitivityCursor& s = ck.sensitivity;
   out += "cursor_sensitivity ";
-  put(out, s.started);
-  put(out, s.done);
-  put(out, s.feasible);
-  put(out, s.steps);
-  put(out, s.lambda);
-  out += '\n';
-  out += "levels ";
+  put(out, s.started, s.done, s.feasible, s.steps, s.lambda);
+  out += "\nlevels ";
   put_sized(out, s.levels);
   out += "decisions ";
   put_sized(out, s.decisions);
@@ -204,203 +166,153 @@ std::string serialize(const Checkpoint& ck) {
 
 // --- reading ---------------------------------------------------------------
 
-class Reader {
- public:
-  explicit Reader(std::istream& in) : in_(in) {}
-
-  // A cut-off stream (worker crash mid-write, truncated download) is
-  // reported as kTruncatedPayload, a token that exists but does not parse
-  // as kCorruptPayload — both typed, so a partial file can never load
-  // silently and callers can route the two failure classes differently.
-  std::string token() {
-    std::string t;
-    if (!(in_ >> t))
-      throw PayloadError(FaultCode::kTruncatedPayload,
-                         "checkpoint: unexpected end of file");
-    return t;
-  }
-
-  void expect(const char* keyword) {
-    const std::string t = token();
-    if (t != keyword)
-      throw PayloadError(FaultCode::kCorruptPayload,
-                         std::string("checkpoint: expected '") + keyword +
-                             "', got '" + t + "'");
-  }
-
-  std::size_t size() {
-    const std::string t = token();
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(t.c_str(), &end, 10);
-    if (end == t.c_str() || *end != '\0')
-      throw PayloadError(FaultCode::kCorruptPayload,
-                         "checkpoint: bad count '" + t + "'");
-    return static_cast<std::size_t>(v);
-  }
-
-  int integer() {
-    const std::string t = token();
-    char* end = nullptr;
-    const long v = std::strtol(t.c_str(), &end, 10);
-    if (end == t.c_str() || *end != '\0')
-      throw PayloadError(FaultCode::kCorruptPayload,
-                         "checkpoint: bad integer '" + t + "'");
-    return static_cast<int>(v);
-  }
-
-  bool boolean() { return integer() != 0; }
-
-  double real() {
-    const std::string t = token();
-    char* end = nullptr;
-    const double v = std::strtod(t.c_str(), &end);
-    if (end == t.c_str() || *end != '\0')
-      throw PayloadError(FaultCode::kCorruptPayload,
-                         "checkpoint: bad double '" + t + "'");
-    return v;
-  }
-
- private:
-  std::istream& in_;
-};
-
-Config read_config(Reader& r, std::size_t dim) {
-  Config c(dim);
-  for (std::size_t i = 0; i < dim; ++i) c[i] = r.integer();
-  return c;
-}
-
-std::vector<std::size_t> read_sized(Reader& r) {
-  std::vector<std::size_t> xs(r.size());
-  for (std::size_t& v : xs) v = r.size();
-  return xs;
-}
-
-Config read_sized_config(Reader& r) {
-  const std::size_t n = r.size();
-  return read_config(r, n);
-}
-
-util::RunningStats read_running_stats(Reader& r) {
-  util::RunningStats::State rs;
-  rs.n = r.size();
-  rs.mean = r.real();
-  rs.m2 = r.real();
-  rs.min = r.real();
-  rs.max = r.real();
-  return util::RunningStats(rs);
-}
-
-PolicyStats read_stats(Reader& r, int version) {
-  r.expect("stats");
-  PolicyStats s;
-  s.total = r.size();
-  s.simulated = r.size();
-  s.interpolated = r.size();
-  s.exact_hits = r.size();
-  s.kriging_failures = r.size();
-  s.variance_rejections = r.size();
-  s.refits = r.size();
-  s.failed_refits = r.size();
-  s.simulator_faults = r.size();
-  s.retries = r.size();
-  s.timeouts = r.size();
-  s.quarantined = r.size();
-  s.checkpoints_written = r.size();
-  s.neighbors_per_interpolation = read_running_stats(r);
-  if (version >= 2) {
-    s.ridge_fallbacks = r.size();
-    s.full_factorizations = r.size();
-    s.factor_cache_hits = r.size();
-    s.factor_extends = r.size();
-    s.rcond_per_solve = read_running_stats(r);
-  }
-  if (version >= 3) {
-    s.loo_rejections = r.size();
-    s.sequential_rejections = r.size();
-    s.loo_passes = r.size();
-    s.loo_abs_error = read_running_stats(r);
-  }
-  return s;
-}
-
+// A cut-off file (crash mid-write, truncated copy) runs out of tokens and is
+// reported as kTruncatedPayload; a token that is there but does not parse,
+// as kCorruptPayload. Counts read from the file never size a container
+// up front: lists grow as their elements arrive, so a corrupt count runs
+// out of tokens instead of memory.
 Checkpoint parse(std::istream& in) {
-  Reader r(in);
+  const std::string text{std::istreambuf_iterator<char>(in), {}};
+  TokenReader r(text, "checkpoint", FaultCode::kTruncatedPayload);
+  const auto ints = [&r](std::size_t n) {
+    Config c;
+    while (c.size() < n) c.push_back(r.integer("coordinate"));
+    return c;
+  };
+  const auto sizes = [&r] {
+    const std::size_t n = r.unsigned_integer("list length");
+    std::vector<std::size_t> xs;
+    while (xs.size() < n) xs.push_back(r.unsigned_integer("list entry"));
+    return xs;
+  };
+  const auto flag = [&r](const char* what) {
+    const int v = r.integer(what);
+    if (v != 0 && v != 1) r.corrupt(std::string("bad flag for ") + what);
+    return v == 1;
+  };
+
   r.expect(kMagic);
-  const int version = r.integer();
+  const int version = r.integer("version");
   if (version < 1 || version > kVersion)
-    throw PayloadError(FaultCode::kCorruptPayload,
-                       "checkpoint: unsupported version " +
-                           std::to_string(version));
+    r.corrupt("unsupported version " + std::to_string(version));
   Checkpoint ck;
   r.expect("optimizer");
-  ck.optimizer = r.token();
+  ck.optimizer = r.next("optimizer");
 
+  PolicySnapshot& p = ck.policy;
   r.expect("store");
-  const std::size_t n = r.size();
-  const std::size_t dim = r.size();
-  ck.policy.configs.reserve(n);
-  ck.policy.values.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    ck.policy.configs.push_back(read_config(r, dim));
-    ck.policy.values.push_back(r.real());
+  const std::size_t n = r.unsigned_integer("store size");
+  const std::size_t dim = r.unsigned_integer("store dimension");
+  while (p.configs.size() < n) {
+    p.configs.push_back(ints(dim));
+    p.values.push_back(r.real("store value"));
   }
   r.expect("quarantine");
-  const std::size_t m = r.size();
-  const std::size_t qdim = r.size();
-  ck.policy.quarantine.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const int raw_code = r.integer();
-    if (raw_code < 0 ||
-        raw_code > static_cast<int>(FaultCode::kTruncatedPayload))
-      throw PayloadError(FaultCode::kCorruptPayload,
-                         "checkpoint: bad fault code " +
-                             std::to_string(raw_code));
-    const auto code = static_cast<FaultCode>(raw_code);
-    ck.policy.quarantine.emplace_back(read_config(r, qdim), code);
+  const std::size_t m = r.unsigned_integer("quarantine size");
+  const std::size_t qdim = r.unsigned_integer("quarantine dimension");
+  while (p.quarantine.size() < m) {
+    const int code = r.integer("fault code");
+    if (code < 0 || code > static_cast<int>(FaultCode::kTruncatedPayload))
+      r.corrupt("bad fault code " + std::to_string(code));
+    p.quarantine.emplace_back(ints(qdim), static_cast<FaultCode>(code));
   }
   r.expect("fit_events");
-  ck.policy.fit_events = read_sized(r);
-  ck.policy.stats = read_stats(r, version);
+  p.fit_events = sizes();
 
+  r.expect("stats");
+  for (const StatsTail& tail : kStatsTails) {
+    if (tail.version > version) break;
+    for (const auto counter : tail.counters)
+      p.stats.*counter = r.unsigned_integer("counter");
+    util::RunningStats::State rs;
+    rs.n = r.unsigned_integer("sample count");
+    for (double* v : {&rs.mean, &rs.m2, &rs.min, &rs.max})
+      *v = r.real("sample moment");
+    p.stats.*tail.running = util::RunningStats(rs);
+  }
+
+  MinPlusOneCursor& mp = ck.min_plus;
   r.expect("cursor_min_plus");
-  ck.min_plus.phase = r.integer();
-  ck.min_plus.var = r.size();
-  ck.min_plus.steps = r.size();
-  ck.min_plus.have_lambda_at_max = r.boolean();
-  ck.min_plus.have_lambda = r.boolean();
-  ck.min_plus.lambda_at_max = r.real();
-  ck.min_plus.lambda = r.real();
+  mp.phase = r.integer("phase");
+  mp.var = r.unsigned_integer("var");
+  mp.steps = r.unsigned_integer("steps");
+  mp.have_lambda_at_max = flag("have_lambda_at_max");
+  mp.have_lambda = flag("have_lambda");
+  mp.lambda_at_max = r.real("lambda_at_max");
+  mp.lambda = r.real("lambda");
   r.expect("w_min");
-  ck.min_plus.w_min = read_sized_config(r);
+  mp.w_min = ints(r.unsigned_integer("w_min length"));
   r.expect("w");
-  ck.min_plus.w = read_sized_config(r);
+  mp.w = ints(r.unsigned_integer("w length"));
   r.expect("decisions");
-  ck.min_plus.decisions = read_sized(r);
+  mp.decisions = sizes();
 
+  SensitivityCursor& s = ck.sensitivity;
   r.expect("cursor_sensitivity");
-  ck.sensitivity.started = r.boolean();
-  ck.sensitivity.done = r.boolean();
-  ck.sensitivity.feasible = r.boolean();
-  ck.sensitivity.steps = r.size();
-  ck.sensitivity.lambda = r.real();
+  s.started = flag("started");
+  s.done = flag("done");
+  s.feasible = flag("feasible");
+  s.steps = r.unsigned_integer("steps");
+  s.lambda = r.real("lambda");
   r.expect("levels");
-  ck.sensitivity.levels = read_sized_config(r);
+  s.levels = ints(r.unsigned_integer("levels length"));
   r.expect("decisions");
-  ck.sensitivity.decisions = read_sized(r);
+  s.decisions = sizes();
 
   r.expect("end");
+  r.done("end");
   return ck;
 }
 
-/// record_checkpoint() runs *before* snapshot(), so the on-disk statistics
-/// count the checkpoint that carries them — a resumed run's
-/// checkpoints_written lines up with the uninterrupted run's.
-void write_policy_checkpoint(KrigingPolicy& policy, Checkpoint& ck,
-                             const std::string& path) {
-  policy.record_checkpoint();
-  ck.policy = policy.snapshot();
-  save_checkpoint(path, ck);
+/// The loop behind both checkpointed entry points. Resumes from the file at
+/// `checkpoint.path` if there is one, then steps the cursor to completion,
+/// writing a checkpoint every `period` steps, at the end, and when pausing
+/// at `step_limit`. `slot` is the Checkpoint field for this optimizer's
+/// cursor.
+template <class Options, class Cursor>
+Cursor run_checkpointed(
+    KrigingPolicy& policy, const SimulatorFn& simulate, const Options& options,
+    const CheckpointOptions& checkpoint, util::ThreadPool* pool,
+    const char* optimizer, Cursor Checkpoint::*slot,
+    Cursor (*make)(const Options&),
+    bool (*step)(const BatchEvaluateFn&, const Options&, Cursor&)) {
+  if (checkpoint.path.empty())
+    throw std::invalid_argument(std::string("checkpointed ") + optimizer +
+                                ": empty path");
+  Cursor cursor = make(options);
+  if (std::optional<Checkpoint> loaded = load_checkpoint(checkpoint.path)) {
+    if (loaded->optimizer != optimizer)
+      throw std::runtime_error("checkpoint: file at " + checkpoint.path +
+                               " belongs to optimizer '" + loaded->optimizer +
+                               "'");
+    policy.restore(loaded->policy);
+    cursor = (*loaded).*slot;
+  }
+  const BatchEvaluateFn evaluate = policy_batch_evaluator(policy, simulate, pool);
+
+  Checkpoint ck;
+  ck.optimizer = optimizer;
+  std::size_t steps_this_run = 0;
+  std::size_t since_write = 0;
+  while (!cursor.finished()) {
+    const bool more = step(evaluate, options, cursor);
+    ++steps_this_run;
+    ++since_write;
+    const bool pause = checkpoint.step_limit > 0 &&
+                       steps_this_run >= checkpoint.step_limit && more;
+    if (!more || pause || since_write >= checkpoint.period) {
+      ck.*slot = cursor;
+      // record_checkpoint() runs *before* snapshot(), so the on-disk
+      // statistics count the checkpoint that carries them — a resumed
+      // run's checkpoints_written lines up with the uninterrupted run's.
+      policy.record_checkpoint();
+      ck.policy = policy.snapshot();
+      save_checkpoint(checkpoint.path, ck);
+      since_write = 0;
+    }
+    if (pause) break;
+  }
+  return cursor;
 }
 
 }  // namespace
@@ -439,74 +351,21 @@ MinPlusOneResult checkpointed_min_plus_one(KrigingPolicy& policy,
                                            const MinPlusOneOptions& options,
                                            const CheckpointOptions& checkpoint,
                                            util::ThreadPool* pool) {
-  if (checkpoint.path.empty())
-    throw std::invalid_argument("checkpointed_min_plus_one: empty path");
-  MinPlusOneCursor cursor = make_min_plus_one_cursor(options);
-  if (std::optional<Checkpoint> loaded = load_checkpoint(checkpoint.path)) {
-    if (loaded->optimizer != "min_plus_one")
-      throw std::runtime_error("checkpoint: file at " + checkpoint.path +
-                               " belongs to optimizer '" + loaded->optimizer +
-                               "'");
-    policy.restore(loaded->policy);
-    cursor = loaded->min_plus;
-  }
-  const BatchEvaluateFn evaluate = policy_batch_evaluator(policy, simulate, pool);
-
-  Checkpoint ck;
-  ck.optimizer = "min_plus_one";
-  std::size_t steps_this_run = 0;
-  std::size_t since_write = 0;
-  while (!cursor.finished()) {
-    const bool more = min_plus_one_step(evaluate, options, cursor);
-    ++steps_this_run;
-    ++since_write;
-    const bool pause = checkpoint.step_limit > 0 &&
-                       steps_this_run >= checkpoint.step_limit && more;
-    if (!more || pause || since_write >= checkpoint.period) {
-      ck.min_plus = cursor;
-      write_policy_checkpoint(policy, ck, checkpoint.path);
-      since_write = 0;
-    }
-    if (pause) break;
-  }
-  return min_plus_one_result(cursor, options);
+  return min_plus_one_result(
+      run_checkpointed(policy, simulate, options, checkpoint, pool,
+                       "min_plus_one", &Checkpoint::min_plus,
+                       make_min_plus_one_cursor, min_plus_one_step),
+      options);
 }
 
 SensitivityResult checkpointed_steepest_descent(
     KrigingPolicy& policy, const SimulatorFn& simulate,
     const SensitivityOptions& options, const CheckpointOptions& checkpoint,
     util::ThreadPool* pool) {
-  if (checkpoint.path.empty())
-    throw std::invalid_argument("checkpointed_steepest_descent: empty path");
-  SensitivityCursor cursor = make_sensitivity_cursor(options);
-  if (std::optional<Checkpoint> loaded = load_checkpoint(checkpoint.path)) {
-    if (loaded->optimizer != "steepest_descent")
-      throw std::runtime_error("checkpoint: file at " + checkpoint.path +
-                               " belongs to optimizer '" + loaded->optimizer +
-                               "'");
-    policy.restore(loaded->policy);
-    cursor = loaded->sensitivity;
-  }
-  const BatchEvaluateFn evaluate = policy_batch_evaluator(policy, simulate, pool);
-
-  Checkpoint ck;
-  ck.optimizer = "steepest_descent";
-  std::size_t steps_this_run = 0;
-  std::size_t since_write = 0;
-  while (!cursor.finished()) {
-    const bool more = steepest_descent_step(evaluate, options, cursor);
-    ++steps_this_run;
-    ++since_write;
-    const bool pause = checkpoint.step_limit > 0 &&
-                       steps_this_run >= checkpoint.step_limit && more;
-    if (!more || pause || since_write >= checkpoint.period) {
-      ck.sensitivity = cursor;
-      write_policy_checkpoint(policy, ck, checkpoint.path);
-      since_write = 0;
-    }
-    if (pause) break;
-  }
-  return sensitivity_result(cursor);
+  return sensitivity_result(
+      run_checkpointed(policy, simulate, options, checkpoint, pool,
+                       "steepest_descent", &Checkpoint::sensitivity,
+                       make_sensitivity_cursor, steepest_descent_step));
 }
 
 }  // namespace ace::dse

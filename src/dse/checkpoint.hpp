@@ -1,12 +1,12 @@
 // Checkpoint/resume for long DSE runs.
 //
 // A checkpoint is (policy snapshot, optimizer cursor) serialized to a
-// versioned text file. Doubles are written as C99 hexfloats ("%a"), so the
-// round trip is exact; the policy snapshot is restored by *replay*
-// (KrigingPolicy::restore), so the rebuilt store, variogram bins, fitted
-// model, trend and refit clocks are bit-identical to the snapshotted
-// policy. A run resumed from a checkpoint therefore makes exactly the
-// decisions the uninterrupted run would have made.
+// versioned text file in the dse/codec scalar encoding: doubles are C99
+// hexfloats, so the round trip is exact. The policy snapshot is restored
+// by *replay* (KrigingPolicy::restore), so the rebuilt store, variogram
+// bins, fitted model, trend and refit clocks are bit-identical to the
+// snapshotted policy. A run resumed from a checkpoint therefore makes
+// exactly the decisions the uninterrupted run would have made.
 //
 // Files are written atomically (temp file + rename): a crash mid-write
 // leaves the previous checkpoint intact.
@@ -48,15 +48,16 @@ struct Checkpoint {
 /// The versioned text payload save_checkpoint writes, as a string.
 std::string serialize_checkpoint(const Checkpoint& checkpoint);
 
-/// Parse a checkpoint payload from a stream. Throws std::runtime_error on
-/// a malformed payload or unsupported version.
+/// Parse a checkpoint payload from a stream. Throws PayloadError (a
+/// std::runtime_error): kTruncatedPayload when the payload ends early,
+/// kCorruptPayload on a malformed value or unsupported version.
 Checkpoint parse_checkpoint(std::istream& in);
 
 /// Serialize to `path` atomically. Throws std::runtime_error on I/O error.
 void save_checkpoint(const std::string& path, const Checkpoint& checkpoint);
 
 /// Load a checkpoint; std::nullopt when the file does not exist. Throws
-/// std::runtime_error on a malformed file or unsupported version.
+/// PayloadError as parse_checkpoint does.
 std::optional<Checkpoint> load_checkpoint(const std::string& path);
 
 /// min+1 with periodic checkpointing. If `options.path` holds a checkpoint

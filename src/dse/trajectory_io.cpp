@@ -4,6 +4,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "dse/codec.hpp"
 #include "dse/fault.hpp"
 #include "util/csv.hpp"
 
@@ -75,17 +76,16 @@ Trajectory load_trajectory(const std::string& path) {
       // Directive line. "#end rows=N" is the integrity trailer; data after
       // it means the file was concatenated or corrupted.
       if (line.rfind("#end rows=", 0) == 0) {
-        char* end = nullptr;
-        const unsigned long long n =
-            std::strtoull(line.c_str() + 10, &end, 10);
-        if (end == line.c_str() + 10 || *end != '\0')
+        const std::optional<std::uint64_t> n =
+            parse_unsigned(std::string_view(line).substr(10));
+        if (!n)
           throw PayloadError(FaultCode::kCorruptPayload,
                              "load_trajectory: bad trailer at line " +
                                  std::to_string(line_no));
-        if (static_cast<std::size_t>(n) != trajectory.size())
+        if (*n != trajectory.size())
           throw PayloadError(
               FaultCode::kTruncatedPayload,
-              "load_trajectory: trailer says " + std::to_string(n) +
+              "load_trajectory: trailer says " + std::to_string(*n) +
                   " rows, file holds " + std::to_string(trajectory.size()));
         saw_trailer = true;
         continue;
@@ -106,15 +106,19 @@ Trajectory load_trajectory(const std::string& path) {
       throw PayloadError(FaultCode::kTruncatedPayload,
                          "load_trajectory: ragged row at line " +
                              std::to_string(line_no));
-    try {
-      for (std::size_t i = 0; i < dims; ++i)
-        config.push_back(std::stoi(cells[i]));
-      trajectory.values.push_back(std::stod(cells[dims]));
-    } catch (const std::exception&) {
-      throw PayloadError(FaultCode::kCorruptPayload,
-                         "load_trajectory: bad number at line " +
-                             std::to_string(line_no));
+    const auto bad_number = [line_no] {
+      return PayloadError(FaultCode::kCorruptPayload,
+                          "load_trajectory: bad number at line " +
+                              std::to_string(line_no));
+    };
+    for (std::size_t i = 0; i < dims; ++i) {
+      const std::optional<int> coordinate = parse_int(cells[i]);
+      if (!coordinate) throw bad_number();
+      config.push_back(*coordinate);
     }
+    const std::optional<double> value = parse_double(cells[dims]);
+    if (!value) throw bad_number();
+    trajectory.values.push_back(*value);
     trajectory.configs.push_back(std::move(config));
   }
   if (!saw_trailer)

@@ -143,6 +143,9 @@ TEST(DistProtocol, MalformedPayloadsAreTyped) {
   expect_corrupt("HELLO 99 1 0x0p+0 0x1p+1 0x1p+6 0x1p-2 1 0x0p+0");  // Version.
   expect_corrupt("PING");                  // Missing nonce.
   expect_corrupt("QUIT now");              // Trailing token.
+  expect_corrupt("TASK 1 1 4294967297");   // Coordinate beyond int.
+  expect_corrupt("TASK -1 1 3");           // Signed id.
+  expect_corrupt("HELLO 1 -1 0x0p+0 0x1p+1 0x1p+6 0x1p-2 1 0x0p+0");  // Signed count.
 }
 
 // End-to-end over the real serve() loop on a thread: handshake, task,

@@ -125,6 +125,30 @@ TEST(CheckpointFile, RejectsGarbageAndUnsupportedVersion) {
   }
   EXPECT_THROW((void)d::load_checkpoint(truncated), std::runtime_error);
   std::remove(truncated.c_str());
+
+  // Out-of-range and signed values are typed corruption, and a count that
+  // outruns the data is truncation — never a wrapped value, a
+  // std::length_error or a std::bad_alloc from a container sized up front.
+  const auto expect_payload_error = [](const std::string& body,
+                                       d::FaultCode code) {
+    std::istringstream in("ACE-CHECKPOINT 3\noptimizer min_plus_one\n" + body);
+    try {
+      (void)d::parse_checkpoint(in);
+      ADD_FAILURE() << "parsed: " << body;
+    } catch (const d::PayloadError& error) {
+      EXPECT_EQ(error.code(), code) << body;
+    }
+  };
+  expect_payload_error("store -1 2\n", d::FaultCode::kCorruptPayload);
+  expect_payload_error("store 1 99999999999\n4 4 5\n",
+                       d::FaultCode::kTruncatedPayload);
+  expect_payload_error("store 0 0\nquarantine 0 0\n"
+                       "fit_events 1000000000000 1 2\n",
+                       d::FaultCode::kTruncatedPayload);
+  expect_payload_error("store 0 0\nquarantine 1 2\n4294967296 5 5\n",
+                       d::FaultCode::kCorruptPayload);
+  expect_payload_error("store 1 2\n4294967304 1 0x1p+0\n",
+                       d::FaultCode::kCorruptPayload);
 }
 
 // Hand-written fixtures in the historical formats: a version-N writer

@@ -185,6 +185,19 @@ TEST(TrajectoryIo, CorruptionIsDetectedAndTyped) {
   } catch (const d::PayloadError& error) {
     EXPECT_EQ(error.code(), d::FaultCode::kCorruptPayload);
   }
+  // Cells with a numeric prefix and trailing junk.
+  for (const char* row : {"3x,1.5", "3,1.5junk"}) {
+    {
+      std::ofstream out(path);
+      out << "e0,lambda\n" << row << "\n#end rows=1\n";
+    }
+    try {
+      (void)d::load_trajectory(path);
+      FAIL() << "partial cell loaded: " << row;
+    } catch (const d::PayloadError& error) {
+      EXPECT_EQ(error.code(), d::FaultCode::kCorruptPayload);
+    }
+  }
   // Unparseable trailer.
   {
     std::ofstream out(path);

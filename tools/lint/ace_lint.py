@@ -51,6 +51,13 @@ cv-wait-foreign-lock
                   active: the wait releases only its own mutex, so every
                   other held lock stays held for the entire sleep — a
                   deadlock if the waking thread needs one of them.
+raw-number-codec  strto{d,f,l,ll,ul,ull}, std::sto{i,l,ul,ull,f,d} or a
+                  "%a" format string in src/ outside src/dse/codec.*.
+                  Persisted and transmitted numbers go through the one
+                  strict codec (dse/codec.hpp): hand-rolled calls accept
+                  partial tokens, wrap out-of-range values or throw
+                  untyped exceptions, and a second hexfloat writer can
+                  drift from the one every reader expects.
 
 Suppression
 -----------
@@ -226,6 +233,22 @@ RAW_DISTANCE_EXEMPT = re.compile(r"(?:^|/)src/util/simd[^/]*$")
 GATE_SCOPE = re.compile(r"(?:^|/)src/dse/[^/]+$|(?:^|/)[^/]*dse_gate[^/]*$")
 GATE_EXEMPT = re.compile(r"(?:^|/)acquisition\.(?:cpp|hpp|cc|hh|cxx|h)$")
 
+# raw-number-codec is scoped to src/ minus the codec itself (the selftest
+# fixture raw_number_codec.cpp matches by basename). The "%a" format is a
+# string literal, so it is matched against the line with strings kept.
+NUMBER_CODEC_SCOPE = re.compile(
+    r"(?:^|/)src/|(?:^|/)[^/]*number_codec[^/]*$")
+NUMBER_CODEC_EXEMPT = re.compile(r"(?:^|/)src/dse/codec\.(?:cpp|hpp)$")
+NUMBER_CODEC_CALL = re.compile(
+    r"\bstrto(?:d|f|l|ll|ul|ull)\s*\("
+    r"|\bstd::sto(?:i|l|ul|ull|f|d)\s*\(")
+HEX_FORMAT = re.compile(r'"%a"')
+NUMBER_CODEC_MESSAGE = (
+    "raw number parse/format outside the codec; use dse::parse_unsigned/"
+    "parse_int/parse_double, dse::TokenReader or dse::hexfloat "
+    "(dse/codec.hpp) so every reader is strict and typed"
+)
+
 # unchecked-syscall is scoped to where the raw syscalls live: the
 # coordinator/worker layer and the subprocess utility (the selftest
 # fixture unchecked_subprocess.cpp matches by basename).
@@ -234,20 +257,25 @@ SYSCALL_SCOPE = re.compile(
 )
 
 
-def strip_code(line: str) -> str:
-    """Remove string/char literals and comment text so rule patterns only
-    see code. Keeps the line length roughly stable for readability."""
+def strip_code(line: str, keep_strings: bool = False) -> str:
+    """Remove comment text, and string/char literals unless
+    `keep_strings`, so rule patterns only see code. Keeps the line length
+    roughly stable for readability."""
     out = []
     i, n = 0, len(line)
     while i < n:
         c = line[i]
         if c == '"' or c == "'":
             quote = c
+            start = i
             i += 1
             while i < n and line[i] != quote:
                 i += 2 if line[i] == "\\" else 1
             i += 1
-            out.append('""' if quote == '"' else "''")
+            if keep_strings:
+                out.append(line[start:i])
+            else:
+                out.append('""' if quote == '"' else "''")
         elif c == "/" and i + 1 < n and line[i + 1] == "/":
             break  # rest is a line comment
         elif c == "/" and i + 1 < n and line[i + 1] == "*":
@@ -380,6 +408,15 @@ def lint_file(path: Path) -> list[Finding]:
                 continue
             if pattern.search(code):
                 findings.append(Finding(path, idx, rule, message))
+
+        posix = path.as_posix()
+        if ("raw-number-codec" not in allows
+                and NUMBER_CODEC_SCOPE.search(posix)
+                and not NUMBER_CODEC_EXEMPT.search(posix)
+                and (NUMBER_CODEC_CALL.search(code) or HEX_FORMAT.search(
+                    strip_code(line, keep_strings=True)))):
+            findings.append(Finding(path, idx, "raw-number-codec",
+                                    NUMBER_CODEC_MESSAGE))
 
         depth, scoped = scan_guard_scopes(code, depth, guards, allows)
         for rule, message in scoped:
