@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -31,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "build_info.hpp"
 #include "core/benchmarks.hpp"
 #include "dse/min_plus_one.hpp"
 #include "dse/scheduler.hpp"
@@ -46,10 +46,6 @@ namespace s = ace::serve;
 constexpr std::size_t kSessions = 210;  // >= 200 per the acceptance bar.
 constexpr double kMinSeconds = 1.0;     // Per timed phase, summed over passes.
 constexpr std::size_t kMinPasses = 3;   // Enough for quartiles.
-
-#ifndef ACE_BUILD_TYPE
-#define ACE_BUILD_TYPE "unknown"
-#endif
 
 /// Mixed workload: rotate FIR (Nv=2) / IIR (Nv=5) / FFT (Nv=10), varying
 /// seed and constraint so no two sessions share a surface. Small lattices
@@ -102,21 +98,6 @@ std::string host_name() {
   char host[256] = {};
   if (gethostname(host, sizeof host - 1) != 0) return "unknown";
   return host;
-}
-
-/// The checkout's commit ("-dirty" with local changes) when run inside
-/// a git work tree, else "unknown".
-std::string commit_id() {
-  std::string id;
-  const char* command = "git describe --always --dirty --abbrev=12 2>/dev/null";
-  if (FILE* pipe = popen(command, "r")) {
-    char buf[64] = {};
-    if (std::fgets(buf, sizeof buf, pipe) != nullptr) id = buf;
-    (void)pclose(pipe);
-  }
-  while (!id.empty() && (id.back() == '\n' || id.back() == '\r'))
-    id.pop_back();
-  return id.empty() ? "unknown" : id;
 }
 
 }  // namespace
@@ -200,7 +181,7 @@ int main() {
       static_cast<double>(stats.steps) / std::max(service_total, 1e-9);
   const std::string host = host_name();
   const unsigned cpus = std::thread::hardware_concurrency();
-  const std::string commit = commit_id();
+  const std::string commit = ace::bench::commit_id();
 
   std::cout << "context:             " << host << ", " << cpus << " CPUs, "
             << ACE_BUILD_TYPE << ", commit " << commit << "\n"

@@ -164,6 +164,11 @@ std::unique_ptr<AcquisitionGate> make_gate(const PolicyOptions& options) {
       if (!options.gate_lambda_min)
         throw std::invalid_argument(
             "make_gate: sequential-design gate needs gate_lambda_min");
+      // |estimate − NaN| < z·σ is never true: a non-finite threshold
+      // would silently switch the veto off.
+      if (!std::isfinite(*options.gate_lambda_min))
+        throw std::invalid_argument(
+            "make_gate: gate_lambda_min must be finite");
       return std::make_unique<SequentialDesignGate>(options.gate_nn_floor,
                                                     options.seq_confidence,
                                                     *options.gate_lambda_min);

@@ -52,7 +52,8 @@ class TmpGuard {
 };
 
 /// One version's part of the "stats" record: counters, then a
-/// RunningStats (n, mean, m2, min, max).
+/// RunningStats (n, mean, m2, min, max). A null counter is a reserved
+/// slot: written as 0, read as a strict unsigned and discarded.
 struct StatsTail {
   int version;
   std::initializer_list<std::size_t PolicyStats::*> counters;
@@ -71,10 +72,11 @@ const StatsTail kStatsTails[] = {
       &PolicyStats::retries, &PolicyStats::timeouts, &PolicyStats::quarantined,
       &PolicyStats::checkpoints_written},
      &PolicyStats::neighbors_per_interpolation},
-    // v2: conditioning / factorization counters.
+    // v2: conditioning / factorization counters. The last two slots held
+    // the retired factor-cache hit/extend counters and are reserved.
     {2,
      {&PolicyStats::ridge_fallbacks, &PolicyStats::full_factorizations,
-      &PolicyStats::factor_cache_hits, &PolicyStats::factor_extends},
+      nullptr, nullptr},
      &PolicyStats::rcond_per_solve},
     // v3: acquisition-gate counters.
     {3,
@@ -135,7 +137,8 @@ std::string serialize(const Checkpoint& ck) {
 
   out += "stats ";
   for (const StatsTail& tail : kStatsTails) {
-    for (const auto counter : tail.counters) put(out, p.stats.*counter);
+    for (const auto counter : tail.counters)
+      put(out, counter ? p.stats.*counter : std::size_t{0});
     const util::RunningStats::State rs = (p.stats.*tail.running).state();
     put(out, rs.n, rs.mean, rs.m2, rs.min, rs.max);
   }
@@ -222,8 +225,10 @@ Checkpoint parse(std::istream& in) {
   r.expect("stats");
   for (const StatsTail& tail : kStatsTails) {
     if (tail.version > version) break;
-    for (const auto counter : tail.counters)
-      p.stats.*counter = r.unsigned_integer("counter");
+    for (const auto counter : tail.counters) {
+      const std::size_t v = r.unsigned_integer("counter");
+      if (counter) p.stats.*counter = v;
+    }
     util::RunningStats::State rs;
     rs.n = r.unsigned_integer("sample count");
     for (double* v : {&rs.mean, &rs.m2, &rs.min, &rs.max})

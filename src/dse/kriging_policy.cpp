@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -60,8 +59,7 @@ std::vector<double> fit_linear_trend(
 }  // namespace
 
 KrigingPolicy::KrigingPolicy(PolicyOptions options)
-    : options_(std::move(options)),
-      factor_cache_(options_.factor_cache_capacity) {
+    : options_(std::move(options)) {
   if (options_.distance < 0)
     throw std::invalid_argument("KrigingPolicy: distance must be >= 0");
   if (options_.variance_gate <= 0.0 ||
@@ -75,6 +73,11 @@ KrigingPolicy::KrigingPolicy(PolicyOptions options)
   if (options_.noise_nugget < 0.0 || !std::isfinite(options_.noise_nugget))
     throw std::invalid_argument(
         "KrigingPolicy: noise_nugget must be finite and >= 0");
+  // 0 is the documented "off"; NaN or inf would switch the guard off too,
+  // silently (every comparison against them is false).
+  if (options_.sanity_span < 0.0 || !std::isfinite(options_.sanity_span))
+    throw std::invalid_argument(
+        "KrigingPolicy: sanity_span must be finite and >= 0");
   gate_ = make_gate(options_);
   effective_nugget_ = options_.noise_nugget;
 }
@@ -147,12 +150,6 @@ bool KrigingPolicy::refit_model_locked() {
   sill_estimate_ = variogram->value_variance();
   sims_at_last_fit_ = store_.size();
   ++stats_.refits;
-  // The model (and, under regression kriging, the trend residuals) just
-  // changed: every cached factorization interpolates the old field. The
-  // generation bump makes any surviving (pinned) entry unmatchable even
-  // without the clear — the cache's own staleness defence.
-  ++model_generation_;
-  factor_cache_.clear();
   // Stochastic-kriging nugget from the fit: the fitted variogram's γ(0)
   // read as measurement noise τ². Updated before the LOO pass so the
   // calibration sees the systems future queries will actually assemble.
@@ -237,8 +234,7 @@ bool KrigingPolicy::model_ready_locked() {
 
 std::optional<double> KrigingPolicy::try_interpolate(
     const Config& config, const Neighborhood& neighborhood,
-    EvalOutcome& outcome,
-    const std::optional<kriging::KrigingResult>* presolved) {
+    EvalOutcome& outcome) {
   if (!model_ready_locked()) return std::nullopt;
 
   std::vector<std::vector<double>> points;
@@ -256,35 +252,14 @@ std::optional<double> KrigingPolicy::try_interpolate(
   const auto distance = options_.use_l2_distance ? kriging::l2_distance
                                                  : kriging::l1_distance;
 
-  // The solve itself runs on a kriging::KrigingSystem. Cache off (the
-  // default): a throwaway all-in-base system, the reference path for
-  // paper-default decisions (DESIGN.md §9). Cache on: look the
-  // support-index set up in the factor cache, reusing or extending an
-  // overlapping system's factorization instead of rebuilding it.
-  std::optional<kriging::KrigingResult> result;
-  if (presolved) {
-    // evaluate_batch's group pre-pass already solved this query on the
-    // group's shared system (one factorization, one multi-RHS solve);
-    // acquisition and factorization accounting happened there.
-    result = *presolved;
-  } else if (options_.factor_cache_capacity > 0) {
-    FactorAcquire how = FactorAcquire::kFresh;
-    const FactorCache::Pin system = factor_cache_.acquire(
-        neighborhood.indices, points, values, *model_, distance,
-        effective_nugget_, model_generation_, how);
-    if (how == FactorAcquire::kHit) ++stats_.factor_cache_hits;
-    if (how == FactorAcquire::kExtend) ++stats_.factor_extends;
-    const std::size_t before = system->stats().full_factorizations;
-    result = system->query(query);
-    stats_.full_factorizations +=
-        system->stats().full_factorizations - before;
-  } else {
-    kriging::SystemSpec spec{kriging::SystemKind::kOrdinary};
-    spec.noise_nugget = effective_nugget_;
-    kriging::KrigingSystem system(spec, points, values, *model_, distance);
-    result = system.query(query);
-    stats_.full_factorizations += system.stats().full_factorizations;
-  }
+  // The solve itself runs on a throwaway kriging::KrigingSystem: one
+  // pivoted LU of the whole assembled Γ (DESIGN.md §9).
+  kriging::SystemSpec spec{kriging::SystemKind::kOrdinary};
+  spec.noise_nugget = effective_nugget_;
+  kriging::KrigingSystem system(spec, std::move(points), values, *model_,
+                                distance);
+  const std::optional<kriging::KrigingResult> result = system.query(query);
+  stats_.full_factorizations += system.stats().full_factorizations;
   if (!result) return std::nullopt;
 
   // Conditioning observability: every solved system reports its pivot-
@@ -491,67 +466,6 @@ std::vector<EvalOutcome> KrigingPolicy::evaluate_batch(
   std::vector<std::size_t> owners;  ///< Batch index owning each slot.
   std::unordered_map<Config, std::size_t, ConfigHash> pending;
 
-  // Phase 0 (factor cache on only): group this batch's interpolation
-  // candidates by support-index set and presolve each multi-member group
-  // on one shared system — one cache acquisition and one multi-RHS ladder
-  // per group instead of per candidate. Each presolved solution is
-  // identical to what the per-candidate path computes (the query_batch
-  // contract), so phase 1 reaches the same decisions; only duplicated
-  // acquire/assemble/solve work disappears. The store cannot change
-  // between here and phase 1 (adds happen in phase 3), so the
-  // neighbourhoods and the refit gate are the ones phase 1 would see.
-  std::unordered_map<std::size_t, std::optional<kriging::KrigingResult>>
-      group_solutions;
-  if (options_.factor_cache_capacity > 0 && n > 1) {
-    std::map<std::vector<std::size_t>, std::vector<std::size_t>> groups;
-    bool gate_checked = false;
-    bool gate_open = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (store_.find(batch[i])) continue;
-      const auto neighborhood = neighborhood_of(batch[i]);
-      if (!gate_->attempt(GateQuery{neighborhood.count()})) continue;
-      if (!gate_checked) {
-        // Run the refit gate exactly where the per-candidate path would
-        // have: at the batch's first interpolation candidate.
-        gate_checked = true;
-        gate_open = model_ready_locked();
-      }
-      if (!gate_open) break;
-      groups[neighborhood.indices].push_back(i);
-    }
-    const auto distance = options_.use_l2_distance ? kriging::l2_distance
-                                                   : kriging::l1_distance;
-    for (const auto& [indices, members] : groups) {
-      if (members.size() < 2) continue;  // Nothing to amortize.
-      Neighborhood nbhd;
-      nbhd.indices = indices;
-      std::vector<std::vector<double>> points;
-      std::vector<double> values;
-      store_.gather(nbhd, points, values);
-      if (!trend_.empty())
-        for (std::size_t k = 0; k < values.size(); ++k)
-          values[k] -= trend_value(points[k]);
-      FactorAcquire how = FactorAcquire::kFresh;
-      const FactorCache::Pin system = factor_cache_.acquire(
-          indices, points, values, *model_, distance, effective_nugget_,
-          model_generation_, how);
-      if (how == FactorAcquire::kHit) ++stats_.factor_cache_hits;
-      if (how == FactorAcquire::kExtend) ++stats_.factor_extends;
-      // Members past the first would have been exact cache hits on the
-      // per-candidate path; keep the counters comparable.
-      stats_.factor_cache_hits += members.size() - 1;
-      std::vector<std::vector<double>> queries;
-      queries.reserve(members.size());
-      for (const std::size_t i : members) queries.push_back(to_real(batch[i]));
-      const std::size_t before = system->stats().full_factorizations;
-      auto solutions = system->query_batch(queries);
-      stats_.full_factorizations +=
-          system->stats().full_factorizations - before;
-      for (std::size_t k = 0; k < members.size(); ++k)
-        group_solutions.emplace(members[k], std::move(solutions[k]));
-    }
-  }
-
   // Phase 1 (serial): partition against the store as it stands at batch
   // entry. Decisions are a pure function of (store state, batch order) —
   // independent of how the simulations will later be scheduled.
@@ -572,10 +486,7 @@ std::vector<EvalOutcome> KrigingPolicy::evaluate_batch(
     const auto neighborhood = neighborhood_of(batch[i]);
     out.neighbors = neighborhood.count();
     if (gate_->attempt(GateQuery{neighborhood.count()})) {
-      const auto pre = group_solutions.find(i);
-      if (auto estimate = try_interpolate(
-              batch[i], neighborhood, out,
-              pre == group_solutions.end() ? nullptr : &pre->second)) {
+      if (auto estimate = try_interpolate(batch[i], neighborhood, out)) {
         out.value = *estimate;
         out.interpolated = true;
         out.source = EvalSource::kInterpolated;

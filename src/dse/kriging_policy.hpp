@@ -19,18 +19,14 @@
 // a duplicate support point; kriging::KrigingSystem additionally dedupes
 // coincident support as a backstop for callers outside this policy).
 //
-// The interpolation hot path runs through kriging::KrigingSystem. With
-// `factor_cache_capacity` > 0 the policy keeps a FactorCache of whole
-// systems keyed by support-index sets, so overlapping neighbourhoods
-// reuse or extend factorizations instead of rebuilding (see
-// bench/solver_cache). The default keeps the cache off: the cache-off
-// path is bit-identical to the pre-cache direct solve, which the
-// checkpoint tests' stats-equality assertions rely on (a resumed run
-// starts with a cold cache, so warm-cache counters would diverge).
+// The interpolation hot path builds one throwaway kriging::KrigingSystem
+// per query over the gathered neighbourhood: one pivoted LU of the
+// assembled Γ (plus ridge-ladder rungs when needed). Nothing about a
+// solve outlives the query, so a resumed run's statistics equal an
+// uninterrupted run's in every configuration.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -39,7 +35,6 @@
 
 #include "dse/acquisition.hpp"
 #include "dse/config.hpp"
-#include "dse/factor_cache.hpp"
 #include "dse/fault.hpp"
 #include "dse/sim_store.hpp"
 #include "kriging/empirical_variogram.hpp"
@@ -143,16 +138,6 @@ struct PolicyOptions {
   /// attempt, no deadline) adds no retries, but faults are still captured
   /// into typed outcomes and quarantined instead of propagating.
   util::RetryOptions retry;
-
-  /// Factorization cache (extension): when > 0, keep up to this many
-  /// kriging systems keyed by support-index set and reuse/extend their
-  /// factorizations across queries with overlapping neighbourhoods
-  /// (bench/solver_cache measures the win). 0 — the default — disables
-  /// the cache and solves each query on a fresh system, bit-identical to
-  /// the pre-cache behaviour; checkpoint resume relies on this default
-  /// (a resumed run's cold cache would otherwise skew the factor
-  /// counters against an uninterrupted run's).
-  std::size_t factor_cache_capacity = 0;
 };
 
 /// Outcome of evaluating one configuration through the policy. A faulted
@@ -196,12 +181,9 @@ struct PolicyStats {
   /// each solve's pivot-ratio condition estimate, so a conditioning
   /// regression shows up as a falling mean/min long before solves fail.
   std::size_t ridge_fallbacks = 0;
-  /// Factorization-work counters: full (re)factorizations performed, and
-  /// how the factor cache avoided them (exact hits / incremental extends).
-  /// With the cache off, full_factorizations is the direct path's cost.
+  /// Whole-system LU factorizations performed (one per query, plus one
+  /// per ridge-ladder rung tried).
   std::size_t full_factorizations = 0;
-  std::size_t factor_cache_hits = 0;
-  std::size_t factor_extends = 0;
   /// Per-gate acquisition counters (checkpoint v3): vetoes by the
   /// LOO-calibrated and sequential-design gates (the variance gate's
   /// vetoes stay in variance_rejections), and the refit-time LOO-CV
@@ -362,17 +344,12 @@ class KrigingPolicy {
   /// The refit gate at the head of every interpolation attempt: fit (or
   /// periodically refit) the variogram when due, and report whether a
   /// model is available. Attempt bookkeeping makes repeated calls at one
-  /// store size idempotent, which is what lets evaluate_batch's group
-  /// pre-pass run the gate once for the whole batch.
+  /// store size idempotent.
   bool model_ready_locked() ACE_REQUIRES(mutex_);
 
-  /// `presolved`, when non-null, is this query's already-computed kriging
-  /// solution (from a query_batch over the group's shared system): the
-  /// solve step is skipped, every gate after it still runs.
-  std::optional<double> try_interpolate(
-      const Config& config, const Neighborhood& neighborhood,
-      EvalOutcome& outcome,
-      const std::optional<kriging::KrigingResult>* presolved = nullptr)
+  std::optional<double> try_interpolate(const Config& config,
+                                        const Neighborhood& neighborhood,
+                                        EvalOutcome& outcome)
       ACE_REQUIRES(mutex_);
 
   /// Reads only immutable options and the internally-synchronized store.
@@ -414,14 +391,6 @@ class KrigingPolicy {
   /// forces a full rebuild there).
   std::unique_ptr<kriging::EmpiricalVariogram> variogram_
       ACE_GUARDED_BY(mutex_);
-  /// Factorization cache (empty when options_.factor_cache_capacity == 0).
-  /// No lock of its own: reachable only under mutex_, and its lock
-  /// ordering is the policy's (policy mutex, then the store's inside
-  /// gather/value reads).
-  FactorCache factor_cache_ ACE_GUARDED_BY(mutex_);
-  /// Bumped on every successful (re)fit; stamps FactorCache entries so an
-  /// exact index-set hit can never return factors of a superseded model.
-  std::uint64_t model_generation_ ACE_GUARDED_BY(mutex_) = 0;
   std::size_t sims_at_last_fit_ ACE_GUARDED_BY(mutex_) = 0;
   std::size_t sims_at_last_attempt_ ACE_GUARDED_BY(mutex_) = 0;
   bool fit_attempted_ ACE_GUARDED_BY(mutex_) = false;

@@ -34,10 +34,8 @@ using RawDistance = double (*)(const std::vector<double>&,
 KrigingSystem::KrigingSystem(SystemSpec spec,
                              std::vector<std::vector<double>> support_points,
                              std::vector<double> support_values,
-                             const VariogramModel& model, DistanceFn distance,
-                             Layout layout)
-    : spec_(spec), model_(model.clone()), distance_(std::move(distance)),
-      layout_(layout) {
+                             const VariogramModel& model, DistanceFn distance)
+    : spec_(spec), model_(model.clone()), distance_(std::move(distance)) {
   if (support_points.empty())
     throw std::invalid_argument("KrigingSystem: empty support set");
   if (support_points.size() != support_values.size())
@@ -81,15 +79,11 @@ KrigingSystem::KrigingSystem(SystemSpec spec,
     else if (*raw == &l2_distance)
       distance_kind_ = DistanceKind::kL2;
   }
-  rebuild_columns();
-  (void)refresh_border();
-  base_points_ = layout_ == Layout::kAllInBase
-                     ? points_.size()
-                     : std::min(points_.size(),
-                                std::max<std::size_t>(1, border_));
+  build_columns();
+  init_border();
 }
 
-void KrigingSystem::rebuild_columns() {
+void KrigingSystem::build_columns() {
   cols_.assign(dim_, {});
   for (auto& c : cols_) c.reserve(points_.size());
   for (const auto& p : points_)
@@ -112,30 +106,24 @@ void KrigingSystem::distances_to(const std::vector<double>& x,
     util::simd::l2_distances_f64(cols.data(), dim_, x.data(), n - first, out);
 }
 
-bool KrigingSystem::refresh_border() {
-  DriftKind effective = spec_.drift;
-  std::size_t border = 0;
+void KrigingSystem::init_border() {
+  effective_drift_ = spec_.drift;
   switch (spec_.kind) {
     case SystemKind::kOrdinary:
-      border = 1;
+      border_ = 1;
       break;
     case SystemKind::kSimple:
-      border = 0;
+      border_ = 0;
       break;
     case SystemKind::kUniversal:
       // A linear drift adds dim + 1 constraints; identifying it needs at
       // least dim + 2 support points — otherwise degrade gracefully to the
       // constant drift (= ordinary kriging).
-      if (effective == DriftKind::kLinear && points_.size() < dim_ + 2)
-        effective = DriftKind::kConstant;
-      border = effective == DriftKind::kConstant ? 1 : dim_ + 1;
+      if (effective_drift_ == DriftKind::kLinear && points_.size() < dim_ + 2)
+        effective_drift_ = DriftKind::kConstant;
+      border_ = effective_drift_ == DriftKind::kConstant ? 1 : dim_ + 1;
       break;
   }
-  const bool changed =
-      border != border_ || effective != effective_drift_;
-  effective_drift_ = effective;
-  border_ = border;
-  return changed;
 }
 
 double KrigingSystem::entry_of(double d) const {
@@ -152,15 +140,6 @@ double KrigingSystem::diagonal_entry() const {
   return spec_.kind == SystemKind::kSimple
              ? entry_of(0.0) + spec_.noise_nugget
              : entry_of(0.0) - spec_.noise_nugget;
-}
-
-double KrigingSystem::pair_entry(std::size_t i, std::size_t j) const {
-  return entry_of(distance_(points_[i], points_[j]));
-}
-
-double KrigingSystem::query_entry(const std::vector<double>& q,
-                                  std::size_t k) const {
-  return entry_of(distance_(q, points_[k]));
 }
 
 std::vector<double> KrigingSystem::drift_basis(
@@ -181,10 +160,6 @@ std::vector<double> KrigingSystem::drift_basis(
   return f;
 }
 
-std::size_t KrigingSystem::matrix_index(std::size_t i) const {
-  return i < base_points_ ? i : i + border_;
-}
-
 linalg::Matrix KrigingSystem::assemble(double shift) const {
   const std::size_t n = points_.size();
   const std::size_t m = system_size();
@@ -194,20 +169,18 @@ linalg::Matrix KrigingSystem::assemble(double shift) const {
   // kernel (bit-identical per-entry to the scalar distance_ call).
   std::vector<double> dists(n);
   for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t mj = matrix_index(j);
     distances_to(points_[j], j, dists.data());
     for (std::size_t k = j; k < n; ++k) {
-      const std::size_t mk = matrix_index(k);
       const double g = k == j ? diagonal_entry() : entry_of(dists[k - j]);
-      a(mj, mk) = g;
-      a(mk, mj) = g;
+      a(j, k) = g;
+      a(k, j) = g;
     }
     const auto fj = drift_basis(points_[j]);
     for (std::size_t l = 0; l < border_; ++l) {
-      a(mj, base_points_ + l) = fj[l];
-      a(base_points_ + l, mj) = fj[l];
+      a(j, n + l) = fj[l];
+      a(n + l, j) = fj[l];
     }
-    a(mj, mj) += shift;
+    a(j, j) += shift;
   }
   return a;
 }
@@ -218,92 +191,40 @@ linalg::Vector KrigingSystem::assemble_rhs(const std::vector<double>& q) const {
   // Batched γ-vector: all query→support distances in one kernel pass.
   std::vector<double> dists(n);
   distances_to(q, 0, dists.data());
-  for (std::size_t k = 0; k < n; ++k)
-    rhs[matrix_index(k)] = entry_of(dists[k]);
+  for (std::size_t k = 0; k < n; ++k) rhs[k] = entry_of(dists[k]);
   const auto fq = drift_basis(q);
-  for (std::size_t l = 0; l < border_; ++l) rhs[base_points_ + l] = fq[l];
+  for (std::size_t l = 0; l < border_; ++l) rhs[n + l] = fq[l];
   return rhs;
 }
 
-std::vector<double> KrigingSystem::coupling_of(std::size_t i) const {
-  // Coupling of unique point i against points 0..i-1 plus the border — the
-  // exact state of a factor that already holds everything before i.
-  std::vector<double> c(i + border_, 0.0);
-  for (std::size_t j = 0; j < i; ++j)
-    c[matrix_index(j)] = pair_entry(i, j);
-  const auto fi = drift_basis(points_[i]);
-  for (std::size_t l = 0; l < border_; ++l) c[base_points_ + l] = fi[l];
-  return c;
+double KrigingSystem::ladder_scale() {
+  // max(|A|, 1) over the *unshifted* matrix, memoized by factor_at(0.0)'s
+  // assembly (the ladder always tries the plain solve first).
+  if (!scale_) scale_ = std::max(assemble(0.0).max_abs(), 1.0);
+  return *scale_;
 }
 
-double KrigingSystem::ladder_scale() const {
-  // max(|A|, 1) over the *unshifted* matrix. Reuse the plain factor's assembled copy when one
-  // exists; otherwise assemble once.
+const linalg::LuDecomposition* KrigingSystem::factor_at(double shift) {
+  // Shifts are recomputed identically per query (ridge · scale over the
+  // same matrix), so exact comparison is the correct memo key.
   for (const Factor& f : factors_)
-    if (f.shift == 0.0)  // ace-lint: allow(float-equality)
-      return std::max(f.ldlt->assembled().max_abs(), 1.0);
-  return std::max(assemble(0.0).max_abs(), 1.0);
-}
-
-void KrigingSystem::invalidate_factors() {
-  factors_.clear();
-  singular_shifts_.clear();
-}
-
-linalg::BorderedLdlt* KrigingSystem::factor_at(double shift) {
-  // Shifts are recomputed identically per query while the support stands
-  // still (ridge · scale over the same matrix), so exact comparison is the
-  // correct memo key; both memos are cleared on any support change.
-  for (Factor& f : factors_)
     if (f.shift == shift)  // ace-lint: allow(float-equality)
-      return f.ldlt.get();
+      return &f.lu;
   for (double s : singular_shifts_)
     if (s == shift)  // ace-lint: allow(float-equality)
       return nullptr;
 
-  const std::size_t n = points_.size();
-  auto build_all_in_base = [&]() -> std::unique_ptr<linalg::BorderedLdlt> {
-    ++stats_.full_factorizations;
-    auto ldlt = std::make_unique<linalg::BorderedLdlt>(assemble(shift), shift);
-    return ldlt->ok() ? std::move(ldlt) : nullptr;
-  };
-
-  std::unique_ptr<linalg::BorderedLdlt> ldlt;
-  if (base_points_ >= n) {
-    ldlt = build_all_in_base();
-  } else {
-    // Incremental layout: factor the minimal base (first points + border),
-    // then fold the remaining support in one Schur pivot at a time.
-    const std::size_t nb = base_points_ + border_;
-    linalg::Matrix base(nb, nb);
-    {
-      const linalg::Matrix full = assemble(shift);
-      for (std::size_t r = 0; r < nb; ++r)
-        for (std::size_t c = 0; c < nb; ++c) base(r, c) = full(r, c);
-    }
-    ++stats_.full_factorizations;
-    ldlt = std::make_unique<linalg::BorderedLdlt>(std::move(base), shift);
-    bool incremental_ok = ldlt->ok();
-    for (std::size_t u = base_points_; incremental_ok && u < n; ++u) {
-      if (ldlt->append_point(coupling_of(u), diagonal_entry()))
-        ++stats_.appends;
-      else
-        incremental_ok = false;
-    }
-    // Degrade rather than fail: a base or pivot collapse the whole-matrix
-    // pivoted LU could still handle (e.g. a collinear base in universal
-    // kriging) must not make the incremental layout reject a query the
-    // direct path would answer — that would let optimizer decisions
-    // diverge between the cached and direct paths.
-    if (!incremental_ok) ldlt = build_all_in_base();
-  }
-
-  if (!ldlt) {
+  ++stats_.full_factorizations;
+  linalg::Matrix a = assemble(shift);
+  if (shift == 0.0)  // ace-lint: allow(float-equality)
+    scale_ = std::max(a.max_abs(), 1.0);
+  linalg::LuDecomposition lu(std::move(a));
+  if (lu.singular()) {
     singular_shifts_.push_back(shift);
     return nullptr;
   }
-  factors_.push_back(Factor{shift, std::move(ldlt)});
-  return factors_.back().ldlt.get();
+  factors_.push_back(Factor{shift, std::move(lu)});
+  return &factors_.back().lu;
 }
 
 std::optional<KrigingResult> KrigingSystem::query(
@@ -320,91 +241,30 @@ std::optional<KrigingResult> KrigingSystem::query(
   // right-hand side and is re-run per query.
   double shift = 0.0;
   std::optional<linalg::Vector> solution;
-  linalg::BorderedLdlt* used = nullptr;
-  if (linalg::BorderedLdlt* f = factor_at(0.0)) {
+  double rcond = 0.0;
+  if (const linalg::LuDecomposition* f = factor_at(0.0)) {
     linalg::Vector x = f->solve(rhs);
     if (acceptable(x)) {
       solution = std::move(x);
-      used = f;
+      rcond = f->rcond_estimate();
     }
   }
   if (!solution) {
     const double scale = ladder_scale();
     for (double ridge = kInitialRidge; ridge <= kMaxRidge; ridge *= 100.0) {
       shift = ridge * scale;
-      linalg::BorderedLdlt* f = factor_at(shift);
+      const linalg::LuDecomposition* f = factor_at(shift);
       if (!f) continue;
       linalg::Vector x = f->solve(rhs);
       if (acceptable(x)) {
         solution = std::move(x);
-        used = f;
+        rcond = f->rcond_estimate();
         break;
       }
     }
     if (!solution) return std::nullopt;
   }
-  return finalize(q, rhs, *solution, shift, used);
-}
-
-std::vector<std::optional<KrigingResult>> KrigingSystem::query_batch(
-    const std::vector<std::vector<double>>& queries) {
-  std::vector<std::optional<KrigingResult>> results(queries.size());
-  if (queries.empty()) return results;
-  for (const auto& q : queries)
-    if (q.size() != dim_)
-      throw std::invalid_argument("KrigingSystem: dimension mismatch");
-  stats_.solves += queries.size();
-
-  const std::size_t m = system_size();
-  const std::size_t nq = queries.size();
-  std::vector<linalg::Vector> rhs;
-  rhs.reserve(nq);
-  for (const auto& q : queries) rhs.push_back(assemble_rhs(q));
-
-  // The same ladder as query(), run rung-by-rung over the whole batch:
-  // each rung factors once and solves every still-open query in one
-  // multi-RHS call. Acceptability stays per-query, so every query climbs
-  // exactly the rungs it would have climbed alone.
-  struct Solved {
-    linalg::Vector x;
-    double shift = 0.0;
-    const linalg::BorderedLdlt* used = nullptr;
-  };
-  std::vector<std::optional<Solved>> solved(nq);
-  std::size_t open_count = nq;
-
-  const auto attempt = [&](double shift) {
-    std::vector<std::size_t> open;
-    open.reserve(open_count);
-    for (std::size_t i = 0; i < nq; ++i)
-      if (!solved[i]) open.push_back(i);
-    linalg::BorderedLdlt* f = factor_at(shift);
-    if (!f) return;
-    linalg::Matrix b(m, open.size());
-    for (std::size_t c = 0; c < open.size(); ++c)
-      for (std::size_t r = 0; r < m; ++r) b(r, c) = rhs[open[c]][r];
-    const linalg::Matrix x = f->solve(b);
-    for (std::size_t c = 0; c < open.size(); ++c) {
-      linalg::Vector xc = x.col(c);
-      if (acceptable(xc)) {
-        solved[open[c]] = Solved{std::move(xc), shift, f};
-        --open_count;
-      }
-    }
-  };
-
-  attempt(0.0);
-  if (open_count > 0) {
-    const double scale = ladder_scale();
-    for (double ridge = kInitialRidge;
-         ridge <= kMaxRidge && open_count > 0; ridge *= 100.0)
-      attempt(ridge * scale);
-  }
-  for (std::size_t i = 0; i < nq; ++i)
-    if (solved[i])
-      results[i] = finalize(queries[i], rhs[i], solved[i]->x,
-                            solved[i]->shift, solved[i]->used);
-  return results;
+  return finalize(q, rhs, *solution, shift, rcond);
 }
 
 std::optional<KrigingSystem::LooReport> KrigingSystem::loo_residuals() {
@@ -418,12 +278,11 @@ std::optional<KrigingSystem::LooReport> KrigingSystem::loo_residuals() {
     return std::nullopt;
   const std::size_t m = system_size();
 
-  // z̃ in layout order: (centred) values on data rows, zeros on the border.
+  // z̃: (centred) values on data rows, zeros on the border.
   linalg::Vector z(m);
   for (std::size_t k = 0; k < n; ++k)
-    z[matrix_index(k)] = spec_.kind == SystemKind::kSimple
-                             ? values_[k] - spec_.mean
-                             : values_[k];
+    z[k] = spec_.kind == SystemKind::kSimple ? values_[k] - spec_.mean
+                                             : values_[k];
 
   // Dubrule's identity on whichever shifted matrix actually factors: with
   // B = A⁻¹, u = B·z̃, e_i = u_i / B_ii and σ²₍ᵢ₎ = 1/B_ii (covariance
@@ -432,7 +291,7 @@ std::optional<KrigingSystem::LooReport> KrigingSystem::loo_residuals() {
   // negated covariance one: the residual ratio is unchanged and the LOO
   // variance becomes −1/B_ii.
   const auto attempt = [&](double shift) -> std::optional<LooReport> {
-    linalg::BorderedLdlt* f = factor_at(shift);
+    const linalg::LuDecomposition* f = factor_at(shift);
     if (!f) return std::nullopt;
     const linalg::Vector u = f->solve(z);
     const linalg::Vector diag = f->inverse_diagonal();
@@ -442,12 +301,11 @@ std::optional<KrigingSystem::LooReport> KrigingSystem::loo_residuals() {
     report.residuals.resize(n);
     report.variances.resize(n);
     for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t mk = matrix_index(k);
-      const double d = diag[mk];
+      const double d = diag[k];
       if (!std::isfinite(d) || d == 0.0 ||  // ace-lint: allow(float-equality)
-          !std::isfinite(u[mk]))
+          !std::isfinite(u[k]))
         return std::nullopt;
-      const double e = u[mk] / d;
+      const double e = u[k] / d;
       if (!std::isfinite(e) || std::abs(e) > kMaxSolutionNorm)
         return std::nullopt;
       report.residuals[k] = e;
@@ -468,13 +326,12 @@ std::optional<KrigingSystem::LooReport> KrigingSystem::loo_residuals() {
 
 std::optional<KrigingResult> KrigingSystem::finalize(
     const std::vector<double>& q, const linalg::Vector& rhs,
-    const linalg::Vector& x, double shift,
-    const linalg::BorderedLdlt* used) const {
+    const linalg::Vector& x, double shift, double rcond) const {
   const std::size_t n = points_.size();
   KrigingResult result;
   result.regularized = shift > 0.0;
   result.ridge = shift;
-  result.rcond = used->rcond_estimate();
+  result.rcond = rcond;
 
   double estimate = spec_.kind == SystemKind::kSimple ? spec_.mean : 0.0;
   double variance =
@@ -483,17 +340,17 @@ std::optional<KrigingResult> KrigingSystem::finalize(
           : 0.0;
   std::vector<double> unique_weights(n);
   for (std::size_t k = 0; k < n; ++k) {
-    const double w = x[matrix_index(k)];
+    const double w = x[k];
     unique_weights[k] = w;
     switch (spec_.kind) {
       case SystemKind::kOrdinary:
       case SystemKind::kUniversal:
         estimate += w * values_[k];
-        variance += w * rhs[matrix_index(k)];
+        variance += w * rhs[k];
         break;
       case SystemKind::kSimple:
         estimate += w * (values_[k] - spec_.mean);
-        variance -= w * rhs[matrix_index(k)];
+        variance -= w * rhs[k];
         break;
     }
   }
@@ -501,7 +358,7 @@ std::optional<KrigingResult> KrigingSystem::finalize(
   if (spec_.kind != SystemKind::kSimple) {
     const auto fq = drift_basis(q);
     for (std::size_t l = 0; l < border_; ++l)
-      variance += x[base_points_ + l] * fq[l];
+      variance += x[n + l] * fq[l];
   }
   if (!std::isfinite(estimate)) return std::nullopt;
   result.estimate = estimate;
@@ -529,92 +386,6 @@ std::optional<KrigingResult> KrigingSystem::finalize(
   ACE_ENSURE(std::isfinite(result.variance) && result.variance >= 0.0,
              "kriging variance must be finite and non-negative");
   return result;
-}
-
-void KrigingSystem::append_point(std::vector<double> point, double value) {
-  if (point.size() != dim_)
-    throw std::invalid_argument("KrigingSystem: dimension mismatch");
-  for (std::size_t i = 0; i < points_.size(); ++i)
-    if (points_[i] == point) {
-      slots_.push_back({i, false});  // Coincident: zero-weight slot.
-      return;
-    }
-
-  const std::size_t u = points_.size();
-  points_.push_back(std::move(point));
-  values_.push_back(value);
-  for (std::size_t d = 0; d < dim_; ++d) cols_[d].push_back(points_[u][d]);
-  slots_.push_back({u, true});
-
-  if (layout_ == Layout::kAllInBase) {
-    base_points_ = points_.size();
-    (void)refresh_border();
-    invalidate_factors();
-    return;
-  }
-  if (refresh_border()) {
-    // The border width changed (universal kriging crossing the dim + 2
-    // threshold): the layout itself moved, so every factor is stale.
-    base_points_ = std::min(points_.size(),
-                            std::max<std::size_t>(1, border_));
-    invalidate_factors();
-    return;
-  }
-  // Extend the plain factor in place; ladder-rung factors and singularity
-  // memos are matrix-dependent and must be rebuilt on demand.
-  std::unique_ptr<linalg::BorderedLdlt> primary;
-  for (Factor& f : factors_)
-    if (f.shift == 0.0)  // ace-lint: allow(float-equality)
-      primary = std::move(f.ldlt);
-  factors_.clear();
-  singular_shifts_.clear();
-  if (primary && primary->size() == system_size() - 1 &&
-      primary->append_point(coupling_of(u), diagonal_entry())) {
-    ++stats_.appends;
-    factors_.push_back(Factor{0.0, std::move(primary)});
-  }
-}
-
-bool KrigingSystem::removable(std::size_t slot) const {
-  if (slot >= slots_.size()) return false;
-  if (!slots_[slot].owner) return true;  // Zero-weight duplicate.
-  if (slots_[slot].unique < base_points_) return false;
-  // An owner with remaining duplicate slots cannot be dropped: the
-  // duplicates would dangle.
-  for (std::size_t s = 0; s < slots_.size(); ++s)
-    if (s != slot && slots_[s].unique == slots_[slot].unique) return false;
-  return true;
-}
-
-bool KrigingSystem::remove_point(std::size_t slot) {
-  if (!removable(slot)) return false;
-  const Slot victim = slots_[slot];
-  slots_.erase(slots_.begin() + static_cast<std::ptrdiff_t>(slot));
-  if (!victim.owner) return true;  // No factor content to touch.
-
-  const std::size_t u = victim.unique;
-  points_.erase(points_.begin() + static_cast<std::ptrdiff_t>(u));
-  values_.erase(values_.begin() + static_cast<std::ptrdiff_t>(u));
-  for (auto& c : cols_) c.erase(c.begin() + static_cast<std::ptrdiff_t>(u));
-  for (Slot& s : slots_)
-    if (s.unique > u) --s.unique;
-
-  // Downdate the plain factor when possible; a degenerate downdate (or a
-  // border-width change) just invalidates, and the next query refactors.
-  std::unique_ptr<linalg::BorderedLdlt> primary;
-  for (Factor& f : factors_)
-    if (f.shift == 0.0)  // ace-lint: allow(float-equality)
-      primary = std::move(f.ldlt);
-  factors_.clear();
-  singular_shifts_.clear();
-  if (refresh_border()) {
-    base_points_ = std::min(points_.size(),
-                            std::max<std::size_t>(1, border_));
-  } else if (primary && primary->remove_point(u - base_points_)) {
-    ++stats_.removals;
-    factors_.push_back(Factor{0.0, std::move(primary)});
-  }
-  return true;
 }
 
 }  // namespace ace::kriging

@@ -14,21 +14,14 @@
 //     ×100 on the non-border diagonal, acceptability = finite and
 //     max-abs <= 1e6;
 //   * coincident-support dedupe — the first occurrence wins, duplicates
-//     get weight 0, so a repeated point never degenerates the system;
-//   * incremental support editing (Layout::kIncremental): append_point()
-//     extends the underlying linalg::BorderedLdlt by one Schur pivot
-//     instead of refactorizing, remove_point() downdates, and the
-//     dse::FactorCache reuses whole systems across queries whose
-//     neighbourhoods overlap.
+//     get weight 0, so a repeated point never degenerates the system.
 //
-// Layout::kAllInBase puts the entire system into the factorization's base
-// block, so every solve is one pivoted LU of the whole assembled matrix.
-// That is the path paper-default decisions run on (DESIGN.md §9), and the
-// reference kIncremental is checked against. Within one layout, a factor
-// built at some ladder rung is kept and re-solved for later queries (the
-// matrix — hence its singularity and its factorization — does not depend
-// on the query, only the acceptability check does), so repeated queries
-// against one support set skip the refactorization entirely.
+// Every factor is one pivoted linalg::LuDecomposition of the whole
+// assembled matrix (DESIGN.md §9). The support is fixed at construction,
+// so a factor built at some ladder rung is kept and re-solved for later
+// queries (the matrix — hence its singularity and its factorization —
+// does not depend on the query, only the acceptability check does), and
+// repeated queries against one support set skip the refactorization.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +31,7 @@
 
 #include "kriging/empirical_variogram.hpp"
 #include "kriging/variogram_model.hpp"
-#include "linalg/ldlt.hpp"
+#include "linalg/lu.hpp"
 
 namespace ace::kriging {
 
@@ -88,22 +81,15 @@ struct SystemSpec {
 };
 
 /// Factorization-work counters, harvested by KrigingPolicy into
-/// PolicyStats (the bench/solver_cache acceptance metric).
+/// PolicyStats.
 struct SystemStats {
   std::size_t full_factorizations = 0;  ///< Whole-system factor builds.
-  std::size_t appends = 0;              ///< One-point Schur extensions.
-  std::size_t removals = 0;             ///< One-point downdates.
   std::size_t solves = 0;               ///< Queries answered.
 };
 
 /// A reusable kriging system over one support set.
 class KrigingSystem {
  public:
-  enum class Layout {
-    kAllInBase,    ///< Whole system in the LU base: the reference path.
-    kIncremental,  ///< Minimal base + Schur appends: cheap extend/downdate.
-  };
-
   /// Builds (but does not yet factor) the system. Coincident support
   /// points are deduplicated — the first occurrence becomes the support
   /// point, later copies are recorded as zero-weight slots. Throws
@@ -113,8 +99,7 @@ class KrigingSystem {
                 std::vector<std::vector<double>> support_points,
                 std::vector<double> support_values,
                 const VariogramModel& model,
-                DistanceFn distance = l1_distance,
-                Layout layout = Layout::kAllInBase);
+                DistanceFn distance = l1_distance);
 
   KrigingSystem(const KrigingSystem&) = delete;
   KrigingSystem& operator=(const KrigingSystem&) = delete;
@@ -122,35 +107,8 @@ class KrigingSystem {
   /// Estimate at `query` (paper Eq. 8-10 for ordinary kriging). Returns
   /// nullopt when no ladder rung produces an acceptable solution — the
   /// caller falls back to simulation. The result's weights are indexed by
-  /// support *slot* (construction order plus append order; deduplicated
-  /// slots hold 0).
+  /// support *slot* (construction order; deduplicated slots hold 0).
   std::optional<KrigingResult> query(const std::vector<double>& q);
-
-  /// Answer a batch of queries against the one shared factorization:
-  /// every γ right-hand side is assembled first (batched over the SoA
-  /// column mirror), then each ladder rung solves all still-open queries
-  /// in one multi-RHS call. Result i is identical to query(queries[i]) —
-  /// the factorizations, ladder rungs, and per-column solves are the very
-  /// same computations, just amortized — so callers may batch or not
-  /// without optimizer decisions diverging.
-  std::vector<std::optional<KrigingResult>> query_batch(
-      const std::vector<std::vector<double>>& queries);
-
-  /// Add one support slot. A point coincident with an existing one
-  /// becomes a zero-weight slot (no factor change). In the kIncremental
-  /// layout a genuinely new point extends the factor by one Schur pivot;
-  /// a failed extension (or the kAllInBase layout) invalidates the factor
-  /// so the next query refactorizes. Dimension mismatches throw.
-  void append_point(std::vector<double> point, double value);
-
-  /// True when the slot's point entered the factorization as an appended
-  /// row — i.e. remove_point(slot) is a cheap downdate.
-  bool removable(std::size_t slot) const;
-
-  /// Drop one support slot. Zero-weight duplicate slots always succeed;
-  /// appended points downdate the factor; base points (or a degenerate
-  /// downdate) return false and leave the system unchanged.
-  bool remove_point(std::size_t slot);
 
   /// Leave-one-out cross-validation over the unique support, from one
   /// factorization. Entry i describes the system with unique point i
@@ -190,7 +148,7 @@ class KrigingSystem {
   /// One cached factorization at one ridge shift.
   struct Factor {
     double shift = 0.0;  ///< Absolute diagonal shift (ridge · scale).
-    std::unique_ptr<linalg::BorderedLdlt> ldlt;
+    linalg::LuDecomposition lu;
   };
 
   /// How distance_ was constructed. The batched assembly dispatches the
@@ -199,11 +157,7 @@ class KrigingSystem {
   /// distances keep the per-pair path.
   enum class DistanceKind { kL1, kL2, kCustom };
 
-  /// Matrix entry between unique points i and j (γ or covariance).
-  double pair_entry(std::size_t i, std::size_t j) const;
-  /// Matrix/rhs entry between the query and unique point k.
-  double query_entry(const std::vector<double>& q, std::size_t k) const;
-  /// Entry as a function of an already-computed distance.
+  /// Matrix/rhs entry (γ or covariance) as a function of a distance.
   double entry_of(double d) const;
   /// Diagonal entry of a support point: entry_of(0) with the noise nugget
   /// folded in (+τ² covariance form, −τ² variogram form; exact no-op at 0).
@@ -212,65 +166,56 @@ class KrigingSystem {
   /// batched over cols_ for the built-in distances.
   void distances_to(const std::vector<double>& x, std::size_t first,
                     double* out) const;
-  /// Rebuild the SoA column mirror of points_ from scratch.
-  void rebuild_columns();
+  /// Build the SoA column mirror of points_.
+  void build_columns();
   /// Drift basis f(x) under the effective drift.
   std::vector<double> drift_basis(const std::vector<double>& x) const;
 
-  /// Matrix index of unique point i under the current layout.
-  std::size_t matrix_index(std::size_t i) const;
-  std::size_t border_cols() const { return border_; }
   std::size_t system_size() const { return points_.size() + border_; }
 
-  /// Assemble the full system matrix in layout order, with `shift` on
-  /// every non-border diagonal.
+  /// Assemble the full system matrix — unique points first, then the
+  /// border — with `shift` on every non-border diagonal.
   linalg::Matrix assemble(double shift) const;
-  /// Assemble the right-hand side for a query, in layout order.
+  /// Assemble the right-hand side for a query, in the same order.
   linalg::Vector assemble_rhs(const std::vector<double>& q) const;
 
-  /// Coupling column of unique point i against the current factor.
-  std::vector<double> coupling_of(std::size_t i) const;
-
   /// Turn one accepted ladder solution into a KrigingResult (estimate,
-  /// variance, slot-indexed weights, contracts) — shared by query() and
-  /// query_batch().
+  /// variance, slot-indexed weights, contracts).
   std::optional<KrigingResult> finalize(const std::vector<double>& q,
                                         const linalg::Vector& rhs,
                                         const linalg::Vector& x, double shift,
-                                        const linalg::BorderedLdlt* used) const;
+                                        double rcond) const;
 
   /// Find or build the factor at `shift`; nullptr when singular there.
-  linalg::BorderedLdlt* factor_at(double shift);
-  /// Drop all cached factors and singularity memos (support changed).
-  void invalidate_factors();
-  /// Recompute the effective drift / border width from the unique count;
-  /// returns true when the border width changed (factor invalid).
-  bool refresh_border();
+  /// The pointer is valid until the next factor_at() call.
+  const linalg::LuDecomposition* factor_at(double shift);
+  /// Set the effective drift and border width from the unique count.
+  void init_border();
 
   /// Scale for the ridge ladder: max(|A|, 1) of the unshifted matrix —
   /// the ridge is relative to the matrix magnitude.
-  double ladder_scale() const;
+  double ladder_scale();
 
   SystemSpec spec_;
   DriftKind effective_drift_ = DriftKind::kConstant;
   std::unique_ptr<VariogramModel> model_;
   DistanceFn distance_;
-  Layout layout_;
   std::size_t dim_ = 0;
 
   std::vector<std::vector<double>> points_;  ///< Unique, insertion order.
   std::vector<double> values_;               ///< Values of unique points.
-  /// Columnar (SoA) mirror of points_: cols_[d][u] == points_[u][d], kept
-  /// in lockstep so assembly streams contiguous columns per dimension.
+  /// Columnar (SoA) mirror of points_: cols_[d][u] == points_[u][d], so
+  /// assembly streams contiguous columns per dimension.
   std::vector<std::vector<double>> cols_;
   DistanceKind distance_kind_ = DistanceKind::kCustom;
   std::vector<Slot> slots_;                  ///< Caller-visible order.
 
-  std::size_t border_ = 0;     ///< Lagrange/drift columns.
-  std::size_t base_points_ = 0;  ///< Unique points inside the base block.
+  std::size_t border_ = 0;  ///< Lagrange/drift columns.
 
   std::vector<Factor> factors_;          ///< Plain + ladder-rung factors.
   std::vector<double> singular_shifts_;  ///< Shifts known to be singular.
+  /// ladder_scale() memo, recorded by the first unshifted assembly.
+  std::optional<double> scale_;
   SystemStats stats_;
 };
 

@@ -110,22 +110,6 @@ Vector LuDecomposition::inverse_diagonal() const {
   return diag;
 }
 
-double LuDecomposition::min_abs_pivot() const {
-  if (singular_ || size() == 0) return 0.0;
-  double lo = std::abs(lu_(0, 0));
-  for (std::size_t i = 1; i < size(); ++i)
-    lo = std::min(lo, std::abs(lu_(i, i)));
-  return lo;
-}
-
-double LuDecomposition::max_abs_pivot() const {
-  if (singular_ || size() == 0) return 0.0;
-  double hi = std::abs(lu_(0, 0));
-  for (std::size_t i = 1; i < size(); ++i)
-    hi = std::max(hi, std::abs(lu_(i, i)));
-  return hi;
-}
-
 double LuDecomposition::rcond_estimate() const {
   if (singular_ || size() == 0) return 0.0;
   double lo = std::abs(lu_(0, 0));

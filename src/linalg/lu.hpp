@@ -48,12 +48,6 @@ class LuDecomposition {
   /// Crude reciprocal condition estimate: min|pivot| / max|pivot|.
   double rcond_estimate() const;
 
-  /// Smallest / largest |U diagonal| of the factorization (0 when
-  /// singular or empty). BorderedLdlt folds these into its combined
-  /// base-plus-Schur condition estimate.
-  double min_abs_pivot() const;
-  double max_abs_pivot() const;
-
  private:
   Matrix lu_;
   std::vector<std::size_t> perm_;

@@ -17,9 +17,9 @@
 //
 // Session state vs policy state: the *session* is the durable object (its
 // spec, cursor and ticket queue live for the manager's lifetime); the
-// *policy* — store, variogram bins, fitted model, factor cache — is a
-// resident that can be parked at any quiescent point. Parking keeps the
-// policy's dse::PolicySnapshot in memory and frees the live policy; the
+// *policy* — store, variogram bins, fitted model — is a resident that can
+// be parked at any quiescent point. Parking keeps the policy's
+// dse::PolicySnapshot in memory and frees the live policy; the
 // cursors never leave the session. Resuming restores a fresh policy from
 // that snapshot by replay, bit-identically (the same restore a
 // dse/checkpoint file goes through, minus the text codec: a parked

@@ -44,8 +44,6 @@ inline ace::dse::Checkpoint golden_checkpoint() {
   s.neighbors_per_interpolation.add(4.0);
   s.ridge_fallbacks = 2;
   s.full_factorizations = 9;
-  s.factor_cache_hits = 6;
-  s.factor_extends = 4;
   s.rcond_per_solve.add(0.1);
   s.loo_rejections = 7;
   s.sequential_rejections = 8;
@@ -83,7 +81,7 @@ inline const std::string kGoldenCheckpoint =
     "2 5 5 5 \n"
     "fit_events 2 6 11 \n"
     "stats 21 2 17 1 1 3 2 1 4 3 1 1 5 2 0x1.cp+1 0x1p-1 0x1.8p+1 0x1p+2 2 9 "
-    "6 4 1 0x1.999999999999ap-4 0x0p+0 0x1.999999999999ap-4 "
+    "0 0 1 0x1.999999999999ap-4 0x0p+0 0x1.999999999999ap-4 "
     "0x1.999999999999ap-4 7 8 2 2 0x1p-3 0x1p-5 0x1.56e1fc2f8f359p-997 "
     "0x1p-2 \n"
     "cursor_min_plus 2 3 4 1 1 -inf -0x1.28p+3 \n"

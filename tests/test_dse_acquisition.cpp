@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -176,6 +177,16 @@ TEST(AcquisitionGate, PolicyValidatesGateOptions) {
     d::PolicyOptions o;
     o.gate = d::GateKind::kSequentialDesign;  // Missing gate_lambda_min.
     EXPECT_THROW(d::KrigingPolicy{o}, std::invalid_argument);
+  }
+  // A non-finite threshold would never trip |estimate − λ_min| < z·σ,
+  // silently switching the sequential-design veto off.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    d::PolicyOptions o;
+    o.gate = d::GateKind::kSequentialDesign;
+    o.gate_lambda_min = bad;
+    EXPECT_THROW(d::KrigingPolicy{o}, std::invalid_argument) << bad;
   }
 }
 

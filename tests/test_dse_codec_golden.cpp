@@ -39,6 +39,33 @@ TEST(GoldenBytes, CheckpointBytesArePinned) {
   std::istringstream in(ace_test::kGoldenCheckpoint);
   EXPECT_EQ(d::serialize_checkpoint(d::parse_checkpoint(in)),
             ace_test::kGoldenCheckpoint);
+
+  // The same checkpoint as written while the two reserved v2 stats slots
+  // still carried the factor-cache counters (6 and 4): it loads, and
+  // re-renders with the reserved slots zeroed.
+  std::istringstream legacy(
+      "ACE-CHECKPOINT 3\n"
+      "optimizer min_plus_one\n"
+      "store 2 3 \n"
+      "8 7 6 0x1.5555555555555p-2 \n"
+      "7 7 6 inf \n"
+      "quarantine 1 3 \n"
+      "2 5 5 5 \n"
+      "fit_events 2 6 11 \n"
+      "stats 21 2 17 1 1 3 2 1 4 3 1 1 5 2 0x1.cp+1 0x1p-1 0x1.8p+1 0x1p+2 2 9 "
+      "6 4 1 0x1.999999999999ap-4 0x0p+0 0x1.999999999999ap-4 "
+      "0x1.999999999999ap-4 7 8 2 2 0x1p-3 0x1p-5 0x1.56e1fc2f8f359p-997 "
+      "0x1p-2 \n"
+      "cursor_min_plus 2 3 4 1 1 -inf -0x1.28p+3 \n"
+      "w_min 3 6 6 5 \n"
+      "w 3 7 6 5 \n"
+      "decisions 3 0 2 1 \n"
+      "cursor_sensitivity 1 0 1 2 nan \n"
+      "levels 3 4 5 5 \n"
+      "decisions 2 1 0 \n"
+      "end\n");
+  EXPECT_EQ(d::serialize_checkpoint(d::parse_checkpoint(legacy)),
+            ace_test::kGoldenCheckpoint);
 }
 
 TEST(GoldenBytes, WireFramesArePinned) {

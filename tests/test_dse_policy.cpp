@@ -10,6 +10,8 @@
 #include <thread>
 #include <vector>
 
+#include "dse/min_plus_one.hpp"
+#include "dse/scheduler.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -157,6 +159,15 @@ TEST(KrigingPolicy, RejectsNegativeVarianceGate) {
         std::numeric_limits<double>::infinity()}) {
     d::PolicyOptions o;
     o.variance_gate = bad;
+    EXPECT_THROW(d::KrigingPolicy{o}, std::invalid_argument) << bad;
+  }
+  // Only 0 is the sanity guard's documented "off"; NaN, negative and
+  // infinite spans would switch it off silently.
+  for (const double bad :
+       {-1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    d::PolicyOptions o;
+    o.sanity_span = bad;
     EXPECT_THROW(d::KrigingPolicy{o}, std::invalid_argument) << bad;
   }
 }
@@ -447,6 +458,69 @@ TEST(KrigingPolicy, AccessorSnapshotsRaceFreeAgainstEvaluateBatch) {
   stop.store(true, std::memory_order_relaxed);
   reader.join();
   EXPECT_EQ(policy.stats().total, 48u);
+}
+
+/// Deterministic smooth simulator over the word-length lattice.
+double smooth_sim(const d::Config& w) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < w.size(); ++i)
+    acc += (1.0 + 0.1 * static_cast<double>(i)) * static_cast<double>(w[i]);
+  return acc;
+}
+
+/// A small min+1 run through a default policy.
+d::PolicyStats run_min_plus_one_stats() {
+  d::KrigingPolicy policy(d::PolicyOptions{});
+  d::MinPlusOneOptions opt;
+  opt.nv = 3;
+  opt.w_max = 12;
+  opt.w_min = 2;
+  opt.lambda_min = 25.0;
+  (void)d::min_plus_one(d::policy_batch_evaluator(policy, smooth_sim), opt);
+  return policy.stats();
+}
+
+TEST(KrigingPolicy, RcondAndRidgeCountersArePopulated) {
+  const d::PolicyStats stats = run_min_plus_one_stats();
+  ASSERT_GT(stats.interpolated, 0u);
+  // Every solved system reports a condition estimate — including solves
+  // later rejected by the sanity/variance gates, so >= interpolated.
+  EXPECT_GE(stats.rcond_per_solve.count(), stats.interpolated);
+  EXPECT_GT(stats.rcond_per_solve.mean(), 0.0);
+  EXPECT_LE(stats.ridge_fallbacks, stats.rcond_per_solve.count());
+}
+
+// Each query builds its own throwaway system, so every solved
+// interpolation pays at least one whole-system factorization (ladder
+// rungs and gate-rejected solves add more).
+TEST(KrigingPolicy, EveryInterpolationPaysAFullFactorization) {
+  const d::PolicyStats stats = run_min_plus_one_stats();
+  ASSERT_GT(stats.interpolated, 0u);
+  EXPECT_GE(stats.full_factorizations, stats.interpolated);
+  EXPECT_GE(stats.full_factorizations, stats.rcond_per_solve.count());
+}
+
+// τ² enters the system diagonal: on the same store and query a nugget
+// policy must smooth, i.e. answer differently from the exact one.
+TEST(KrigingPolicy, NoiseNuggetChangesInterpolatedEstimates) {
+  auto sim = [](const d::Config& c) {
+    return linear_surface(c) + 0.5 * static_cast<double>(c[0] * c[1]);
+  };
+  const auto interpolate = [&](double nugget) {
+    d::PolicyOptions o = small_fit_options(3);
+    o.noise_nugget = nugget;
+    d::KrigingPolicy policy(o);
+    for (const d::Config& c : std::vector<d::Config>{
+             {0, 0}, {1, 0}, {0, 1}, {2, 0}, {1, 1}, {0, 2}})
+      (void)policy.evaluate(c, sim);
+    return policy.evaluate({1, 2}, sim);
+  };
+  const auto exact = interpolate(0.0);
+  const auto smoothed = interpolate(0.5);
+  ASSERT_TRUE(exact.interpolated);
+  ASSERT_TRUE(smoothed.interpolated);
+  EXPECT_NE(exact.value, smoothed.value);
+  EXPECT_EQ(interpolate(0.0).value, exact.value);
 }
 
 }  // namespace

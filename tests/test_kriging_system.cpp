@@ -1,18 +1,19 @@
-// KrigingSystem: the library's one kriging solve path. Two properties are
-// at stake: the all-in-base system agrees with an independent dense
-// reference solve of the full bordered system, and a system grown or
-// shrunk incrementally answers queries like a system built from scratch
-// on the same support — weights and variance within 1e-10 — across random
-// support sets, all three estimator kinds, the ridge-fallback path, the
-// Lagrange/drift border, and coincident-point dedupe. The RobustSolve
+// KrigingSystem: the library's one kriging solve path. It must agree with
+// an independent dense reference solve of the full bordered system —
+// weights and variance within 1e-10 — across random support sets, all
+// three estimator kinds, the ridge-fallback path, the Lagrange/drift
+// border, and coincident-point dedupe. The per-rung factor memo must
+// answer like a fresh system, and per-estimator properties (exact
+// interpolation, value-independent weights, zero-weight duplicates,
+// translation invariance) hold for every kind. The RobustSolve
 // cases pin what each rung of the ridge ladder reports on small systems
 // known in closed form.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "kriging/system.hpp"
@@ -57,19 +58,6 @@ std::vector<k::SystemSpec> all_specs() {
   k::SystemSpec universal{k::SystemKind::kUniversal, k::DriftKind::kLinear,
                           0.0, 0.0};
   return {ordinary, simple, universal};
-}
-
-void expect_same_result(const std::optional<k::KrigingResult>& a,
-                        const std::optional<k::KrigingResult>& b,
-                        double tol) {
-  ASSERT_EQ(a.has_value(), b.has_value());
-  if (!a) return;
-  EXPECT_NEAR(a->estimate, b->estimate, tol);
-  EXPECT_NEAR(a->variance, b->variance, tol);
-  EXPECT_EQ(a->regularized, b->regularized);
-  ASSERT_EQ(a->weights.size(), b->weights.size());
-  for (std::size_t i = 0; i < a->weights.size(); ++i)
-    EXPECT_NEAR(a->weights[i], b->weights[i], tol) << "weight " << i;
 }
 
 /// What one plain dense solve says about a system.
@@ -201,100 +189,20 @@ TEST(KrigingSystem, MatchesDenseReferenceOnNearSingularSystem) {
   }
 }
 
-// The property test proper: grow a kIncremental system point by point and
-// compare every intermediate state against a from-scratch system on the
-// same prefix, for every estimator kind.
-TEST(KrigingSystem, IncrementalExtendMatchesScratchAcrossEstimators) {
-  const k::ExponentialVariogram model(0.05, 1.5, 6.0);
-  for (const auto& spec : all_specs()) {
-    for (std::uint64_t seed : {11u, 12u, 13u, 14u}) {
-      const auto inst = make_instance(2, 8, seed);
-      const std::size_t start = 3;
-      k::KrigingSystem grown(
-          spec,
-          {inst.points.begin(), inst.points.begin() + start},
-          {inst.values.begin(), inst.values.begin() + start}, model,
-          k::l1_distance, k::KrigingSystem::Layout::kIncremental);
-      for (std::size_t n = start; n <= inst.points.size(); ++n) {
-        if (n > start)
-          grown.append_point(inst.points[n - 1], inst.values[n - 1]);
-        k::KrigingSystem scratch(
-            spec, {inst.points.begin(), inst.points.begin() + n},
-            {inst.values.begin(), inst.values.begin() + n}, model);
-        expect_same_result(grown.query(inst.query),
-                           scratch.query(inst.query), 1e-10);
-      }
-    }
-  }
-}
-
-TEST(KrigingSystem, DowndateMatchesScratchAcrossEstimators) {
-  const k::SphericalVariogram model(0.1, 2.0, 8.0);
-  for (const auto& spec : all_specs()) {
-    const auto inst = make_instance(2, 8, 99);
-    k::KrigingSystem sys(spec, inst.points, inst.values, model,
-                         k::l1_distance,
-                         k::KrigingSystem::Layout::kIncremental);
-    // Remove two removable slots (from the back, where appended rows live).
-    std::vector<std::vector<double>> points = inst.points;
-    std::vector<double> values = inst.values;
-    std::size_t removed = 0;
-    for (std::size_t slot = sys.support_size(); slot-- > 0 && removed < 2;) {
-      if (!sys.removable(slot)) continue;
-      ASSERT_TRUE(sys.remove_point(slot));
-      points.erase(points.begin() + static_cast<std::ptrdiff_t>(slot));
-      values.erase(values.begin() + static_cast<std::ptrdiff_t>(slot));
-      ++removed;
-      k::KrigingSystem scratch(spec, points, values, model);
-      expect_same_result(sys.query(inst.query), scratch.query(inst.query),
-                         1e-10);
-    }
-    EXPECT_EQ(removed, 2u);
-  }
-}
-
-// The all-zero variogram makes every Γ entry 0: the plain rung is
-// singular and the ladder must climb to a ridge — on the incremental
-// path exactly as on the direct one.
-TEST(KrigingSystem, RidgeFallbackPathMatchesScratch) {
-  const k::LinearVariogram flat(0.0, 0.0);
-  const auto inst = make_instance(2, 5, 7);
-  k::KrigingSystem grown(
-      {k::SystemKind::kOrdinary}, {inst.points.begin(), inst.points.begin() + 3},
-      {inst.values.begin(), inst.values.begin() + 3}, flat, k::l1_distance,
-      k::KrigingSystem::Layout::kIncremental);
-  grown.append_point(inst.points[3], inst.values[3]);
-  grown.append_point(inst.points[4], inst.values[4]);
-  k::KrigingSystem scratch({k::SystemKind::kOrdinary}, inst.points,
-                           inst.values, flat);
-  const auto a = grown.query(inst.query);
-  const auto b = scratch.query(inst.query);
-  ASSERT_TRUE(a && b);
-  EXPECT_TRUE(a->regularized);
-  EXPECT_TRUE(b->regularized);
-  EXPECT_EQ(a->ridge, b->ridge);  // same ladder rung, bit-equal shift
-  EXPECT_NEAR(a->estimate, b->estimate, 1e-10);
-  for (std::size_t i = 0; i < a->weights.size(); ++i)
-    EXPECT_NEAR(a->weights[i], b->weights[i], 1e-10);
-}
-
-// Unbiasedness survives the border on both layouts: ordinary/universal
-// weights sum to 1 (the Lagrange/drift border enforces it exactly).
+// Unbiasedness survives the border: ordinary/universal weights sum to 1
+// (the Lagrange/drift border enforces it exactly).
 TEST(KrigingSystem, BorderKeepsWeightsUnbiased) {
   const k::SphericalVariogram model(0.0, 1.0, 5.0);
-  for (const auto layout : {k::KrigingSystem::Layout::kAllInBase,
-                            k::KrigingSystem::Layout::kIncremental}) {
-    for (const auto kind :
-         {k::SystemKind::kOrdinary, k::SystemKind::kUniversal}) {
-      const auto inst = make_instance(2, 7, 42);
-      k::KrigingSystem sys({kind, k::DriftKind::kLinear}, inst.points,
-                           inst.values, model, k::l1_distance, layout);
-      const auto r = sys.query(inst.query);
-      ASSERT_TRUE(r);
-      double sum = 0.0;
-      for (double w : r->weights) sum += w;
-      EXPECT_NEAR(sum, 1.0, 1e-8);
-    }
+  for (const auto kind :
+       {k::SystemKind::kOrdinary, k::SystemKind::kUniversal}) {
+    const auto inst = make_instance(2, 7, 42);
+    k::KrigingSystem sys({kind, k::DriftKind::kLinear}, inst.points,
+                         inst.values, model);
+    const auto r = sys.query(inst.query);
+    ASSERT_TRUE(r);
+    double sum = 0.0;
+    for (double w : r->weights) sum += w;
+    EXPECT_NEAR(sum, 1.0, 1e-8);
   }
 }
 
@@ -322,15 +230,6 @@ TEST(KrigingSystem, CoincidentSupportIsDeduplicated) {
   ASSERT_EQ(got->weights.size(), 7u);
   EXPECT_EQ(got->weights[3], 0.0);  // duplicate of points[0]
   EXPECT_EQ(got->weights[6], 0.0);  // duplicate of points[1]
-
-  // Appending another coincident point is a zero-weight slot, not a
-  // support change.
-  sys.append_point(inst.points[2], inst.values[2]);
-  EXPECT_EQ(sys.unique_size(), 5u);
-  const auto again = sys.query(inst.query);
-  ASSERT_TRUE(again);
-  EXPECT_EQ(again->estimate, expect->estimate);
-  EXPECT_EQ(again->weights.back(), 0.0);
 }
 
 // Repeated queries against one support set reuse the factorization.
@@ -347,6 +246,27 @@ TEST(KrigingSystem, FactorIsReusedAcrossQueries) {
   ASSERT_TRUE(sys.query(q2));
   EXPECT_EQ(sys.stats().full_factorizations, after_first);
   EXPECT_EQ(sys.stats().solves, 2u);
+}
+
+// Every factor memo answers like a fresh system: one system fed several
+// queries, and one fed the LOO report first, must agree bit for bit with
+// a system built for each query alone.
+TEST(KrigingSystem, LooReusesTheQueryFactor) {
+  const k::SphericalVariogram model(0.1, 2.0, 8.0);
+  const auto inst = make_instance(2, 6, 34);
+  k::KrigingSystem sys({k::SystemKind::kOrdinary}, inst.points, inst.values,
+                       model);
+  ASSERT_TRUE(sys.loo_residuals());
+  EXPECT_EQ(sys.stats().full_factorizations, 1u);
+  const auto got = sys.query(inst.query);
+  EXPECT_EQ(sys.stats().full_factorizations, 1u);
+  const auto fresh = k::KrigingSystem({k::SystemKind::kOrdinary}, inst.points,
+                                      inst.values, model)
+                         .query(inst.query);
+  ASSERT_TRUE(got && fresh);
+  EXPECT_EQ(got->estimate, fresh->estimate);
+  EXPECT_EQ(got->variance, fresh->variance);
+  EXPECT_EQ(got->weights, fresh->weights);
 }
 
 TEST(KrigingSystem, UniversalDriftDegradesOnTinySupport) {
@@ -430,10 +350,7 @@ TEST(RobustSolve, GivesUpOnHopelessSystem) {
                        {{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}, {3.0, 0.0}},
                        {1.0, 2.0, 3.0, 4.0}, model);
   EXPECT_FALSE(sys.query({1.5, 0.0}).has_value());
-  const auto batch = sys.query_batch({{1.5, 0.0}, {0.5, 1.0}});
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_FALSE(batch[0].has_value());
-  EXPECT_FALSE(batch[1].has_value());
+  EXPECT_FALSE(sys.query({0.5, 1.0}).has_value());
 }
 
 // C = 100·J: the first ridge rung is 1e-10 times max |A| = 100.
@@ -447,6 +364,172 @@ TEST(RobustSolve, ReportsRidgeMagnitudeScaledToMatrix) {
   EXPECT_TRUE(r->regularized);
   EXPECT_GE(r->ridge, 1e-10 * 100.0);  // Scaled by max |a|.
 }
+
+// The all-zero variogram makes every Γ entry 0: the plain rung is
+// singular and the ladder must climb to a ridge. The answer must be the
+// solve of the hand-assembled matrix at exactly the reported shift.
+TEST(KrigingSystem, RidgeFallbackPathMatchesScratch) {
+  const k::LinearVariogram flat(0.0, 0.0);
+  const auto inst = make_instance(2, 5, 7);
+  k::KrigingSystem sys({k::SystemKind::kOrdinary}, inst.points, inst.values,
+                       flat);
+  const auto r = sys.query(inst.query);
+  ASSERT_TRUE(r);
+  EXPECT_TRUE(r->regularized);
+  // First rung: 1e-10 times max(|A|, 1) = 1 for the ones-bordered matrix.
+  EXPECT_EQ(r->ridge, 1e-10);
+
+  const std::size_t n = inst.points.size();
+  ace::linalg::Matrix a(n + 1, n + 1);
+  ace::linalg::Vector rhs(n + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    a(i, i) = r->ridge;
+    a(i, n) = 1.0;
+    a(n, i) = 1.0;
+  }
+  rhs[n] = 1.0;
+  const ace::linalg::Vector x = ace::linalg::LuDecomposition(a).solve(rhs);
+  double estimate = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(r->weights[i], x[i], 1e-12) << "weight " << i;
+    estimate += x[i] * inst.values[i];
+  }
+  EXPECT_NEAR(r->estimate, estimate, 1e-12);
+}
+
+// One factor build per ladder rung tried, memoized for every later query:
+// the singular plain rung is remembered, not refactored.
+TEST(KrigingSystem, FactorCountsOneBuildPerLadderRung) {
+  const k::LinearVariogram flat(0.0, 0.0);
+  const auto inst = make_instance(2, 5, 8);
+  k::KrigingSystem sys({k::SystemKind::kOrdinary}, inst.points, inst.values,
+                       flat);
+  const auto first = sys.query(inst.query);
+  ASSERT_TRUE(first && first->regularized);
+  EXPECT_EQ(sys.stats().full_factorizations, 2u);  // plain + first rung
+  std::vector<double> q2 = inst.query;
+  q2[1] += 1.0;
+  const auto second = sys.query(q2);
+  ASSERT_TRUE(second);
+  EXPECT_EQ(second->ridge, first->ridge);
+  EXPECT_EQ(sys.stats().full_factorizations, 2u);
+  EXPECT_EQ(sys.stats().solves, 2u);
+}
+
+// --- per-estimator properties ----------------------------------------------
+//
+// Each case runs once per estimator kind (ordinary, simple, universal with
+// a linear drift) on a regular 7-point support in 2-D.
+
+class KrigingSystemKindTest : public ::testing::TestWithParam<k::SystemSpec> {
+ protected:
+  const k::SphericalVariogram model_{0.0, 2.0, 8.0};
+  const Instance inst_ = make_instance(2, 7, 77);
+
+  k::KrigingSystem make(const std::vector<std::vector<double>>& points,
+                        const std::vector<double>& values) const {
+    return k::KrigingSystem(GetParam(), points, values, model_);
+  }
+};
+
+std::string kind_name(const ::testing::TestParamInfo<k::SystemSpec>& info) {
+  switch (info.param.kind) {
+    case k::SystemKind::kOrdinary:
+      return "Ordinary";
+    case k::SystemKind::kSimple:
+      return "Simple";
+    case k::SystemKind::kUniversal:
+      return "Universal";
+  }
+  return "Unknown";
+}
+
+TEST_P(KrigingSystemKindTest, InterpolatesSupportExactly) {
+  k::KrigingSystem sys = make(inst_.points, inst_.values);
+  for (std::size_t i = 0; i < inst_.points.size(); ++i) {
+    const auto r = sys.query(inst_.points[i]);
+    ASSERT_TRUE(r) << "support " << i;
+    EXPECT_FALSE(r->regularized) << "support " << i;
+    EXPECT_NEAR(r->estimate, inst_.values[i], 1e-8) << "support " << i;
+    EXPECT_NEAR(r->variance, 0.0, 1e-8) << "support " << i;
+    EXPECT_NEAR(r->weights[i], 1.0, 1e-8) << "support " << i;
+  }
+}
+
+TEST_P(KrigingSystemKindTest, WeightsDoNotDependOnValues) {
+  std::vector<double> other = inst_.values;
+  for (double& v : other) v = 3.0 * v - 7.0;
+  const auto a = make(inst_.points, inst_.values).query(inst_.query);
+  const auto b = make(inst_.points, other).query(inst_.query);
+  ASSERT_TRUE(a && b);
+  EXPECT_EQ(a->weights, b->weights);
+  EXPECT_EQ(a->variance, b->variance);
+  EXPECT_EQ(a->ridge, b->ridge);
+}
+
+TEST_P(KrigingSystemKindTest, DuplicateSlotsCarryZeroWeight) {
+  auto points = inst_.points;
+  auto values = inst_.values;
+  points.push_back(points[2]);
+  values.push_back(values[2]);
+  k::KrigingSystem sys = make(points, values);
+  EXPECT_EQ(sys.support_size(), 8u);
+  EXPECT_EQ(sys.unique_size(), 7u);
+  const auto got = sys.query(inst_.query);
+  const auto expect = make(inst_.points, inst_.values).query(inst_.query);
+  ASSERT_TRUE(got && expect);
+  EXPECT_EQ(got->estimate, expect->estimate);
+  EXPECT_EQ(got->variance, expect->variance);
+  ASSERT_EQ(got->weights.size(), 8u);
+  EXPECT_EQ(got->weights.back(), 0.0);
+  for (std::size_t i = 0; i < 7; ++i)
+    EXPECT_EQ(got->weights[i], expect->weights[i]) << "weight " << i;
+}
+
+TEST_P(KrigingSystemKindTest, FactorIsReusedAcrossQueries) {
+  k::KrigingSystem sys = make(inst_.points, inst_.values);
+  ASSERT_TRUE(sys.query(inst_.query));
+  const std::size_t after_first = sys.stats().full_factorizations;
+  EXPECT_EQ(after_first, 1u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    std::vector<double> q = inst_.query;
+    q[i % 2] += 0.5 * static_cast<double>(i + 1);
+    ASSERT_TRUE(sys.query(q));
+  }
+  EXPECT_EQ(sys.stats().full_factorizations, after_first);
+  EXPECT_EQ(sys.stats().solves, 4u);
+}
+
+// L1 distances and the constant/linear drift are translation-invariant,
+// so moving support and query together leaves the estimator unchanged.
+TEST_P(KrigingSystemKindTest, TranslationLeavesTheEstimatorUnchanged) {
+  const std::vector<double> offset = {3.0, -2.0};
+  auto moved = inst_.points;
+  for (auto& p : moved)
+    for (std::size_t d = 0; d < p.size(); ++d) p[d] += offset[d];
+  std::vector<double> q = inst_.query;
+  for (std::size_t d = 0; d < q.size(); ++d) q[d] += offset[d];
+  const auto a = make(inst_.points, inst_.values).query(inst_.query);
+  const auto b = make(moved, inst_.values).query(q);
+  ASSERT_TRUE(a && b);
+  EXPECT_NEAR(a->estimate, b->estimate, 1e-9);
+  EXPECT_NEAR(a->variance, b->variance, 1e-9);
+  for (std::size_t i = 0; i < a->weights.size(); ++i)
+    EXPECT_NEAR(a->weights[i], b->weights[i], 1e-9) << "weight " << i;
+}
+
+TEST_P(KrigingSystemKindTest, VarianceGrowsAwayFromSupport) {
+  k::KrigingSystem sys = make(inst_.points, inst_.values);
+  const auto at_support = sys.query(inst_.points[0]);
+  const auto far = sys.query({40.0, 40.0});
+  ASSERT_TRUE(at_support && far);
+  EXPECT_GE(at_support->variance, 0.0);
+  EXPECT_GT(far->variance, 0.1);
+  EXPECT_GT(far->variance, at_support->variance);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEstimators, KrigingSystemKindTest,
+                         ::testing::ValuesIn(all_specs()), kind_name);
 
 TEST(KrigingSystem, ValidatesInput) {
   const k::SphericalVariogram model(0.1, 2.0, 8.0);

@@ -32,7 +32,6 @@ d::SimulatorFn make_surface(std::size_t salt) {
 s::SessionSpec min_plus_spec(std::size_t salt) {
   s::SessionSpec spec;
   spec.name = "min+1 #" + std::to_string(salt);
-  spec.policy.factor_cache_capacity = 4;
   spec.optimizer = s::OptimizerKind::kMinPlusOne;
   spec.min_plus.nv = 3;
   spec.min_plus.w_max = 10;
@@ -62,13 +61,21 @@ s::SessionSpec heavy_spec() {
   return spec;
 }
 
-d::MinPlusOneResult standalone_min_plus(const s::SessionSpec& spec) {
+/// Standalone reference: run the same spec to completion with a fresh
+/// policy — the bit-identity baseline for every service-side run, down
+/// to the policy's full statistics.
+struct Standalone {
+  d::MinPlusOneResult result;
+  d::PolicyStats stats;
+};
+
+Standalone standalone_min_plus(const s::SessionSpec& spec) {
   d::KrigingPolicy policy(spec.policy);
   const auto evaluate = d::policy_batch_evaluator(policy, spec.simulate);
   d::MinPlusOneCursor cursor = d::make_min_plus_one_cursor(spec.min_plus);
   while (d::min_plus_one_step(evaluate, spec.min_plus, cursor)) {
   }
-  return d::min_plus_one_result(cursor, spec.min_plus);
+  return {d::min_plus_one_result(cursor, spec.min_plus), policy.stats()};
 }
 
 void expect_identical(const d::MinPlusOneResult& a,
@@ -78,6 +85,15 @@ void expect_identical(const d::MinPlusOneResult& a,
   EXPECT_EQ(a.w_res, b.w_res);
   EXPECT_EQ(a.constraint_met, b.constraint_met);
   EXPECT_EQ(a.final_lambda, b.final_lambda);
+}
+
+/// The session finished exactly as the standalone run did: the same
+/// result and equal full PolicyStats (every counter and moment), however
+/// the service queued, interleaved, parked or resumed it.
+void expect_matches_standalone(const s::SessionManager& manager,
+                               s::SessionId id, const Standalone& reference) {
+  expect_identical(manager.min_plus_one_result(id), reference.result);
+  EXPECT_TRUE(manager.progress(id).stats == reference.stats);
 }
 
 TEST(ServeConcurrency, SlowResumeDoesNotBlockOtherSessions) {
@@ -115,8 +131,8 @@ TEST(ServeConcurrency, SlowResumeDoesNotBlockOtherSessions) {
   manager.wait(resume_ticket);
   EXPECT_TRUE(manager.progress(a).resident);
   EXPECT_EQ(manager.stats().resumes, 1u);
-  expect_identical(manager.min_plus_one_result(a),
-                   standalone_min_plus(heavy_spec()));
+  expect_matches_standalone(manager, a,
+                              standalone_min_plus(heavy_spec()));
 }
 
 TEST(ServeConcurrency, ParkResumeRacingSubmitsStaysIdentical) {
@@ -157,8 +173,8 @@ TEST(ServeConcurrency, ParkResumeRacingSubmitsStaysIdentical) {
 
   for (std::size_t i = 0; i < kSessions; ++i) {
     manager.wait(manager.submit(ids[i], 1000));
-    expect_identical(manager.min_plus_one_result(ids[i]),
-                     standalone_min_plus(min_plus_spec(i)));
+    expect_matches_standalone(manager, ids[i],
+                              standalone_min_plus(min_plus_spec(i)));
   }
 }
 

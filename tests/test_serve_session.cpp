@@ -34,7 +34,6 @@ d::SimulatorFn make_surface(std::size_t salt) {
 s::SessionSpec min_plus_spec(std::size_t salt) {
   s::SessionSpec spec;
   spec.name = "min+1 #" + std::to_string(salt);
-  spec.policy.factor_cache_capacity = 4;
   spec.optimizer = s::OptimizerKind::kMinPlusOne;
   spec.min_plus.nv = 3;
   spec.min_plus.w_max = 10;
@@ -45,14 +44,20 @@ s::SessionSpec min_plus_spec(std::size_t salt) {
 }
 
 /// Standalone reference: run the same spec to completion with a fresh
-/// policy — the bit-identity baseline for every service-side run.
-d::MinPlusOneResult standalone_min_plus(const s::SessionSpec& spec) {
+/// policy — the bit-identity baseline for every service-side run, down
+/// to the policy's full statistics.
+struct Standalone {
+  d::MinPlusOneResult result;
+  d::PolicyStats stats;
+};
+
+Standalone standalone_min_plus(const s::SessionSpec& spec) {
   d::KrigingPolicy policy(spec.policy);
   const auto evaluate = d::policy_batch_evaluator(policy, spec.simulate);
   d::MinPlusOneCursor cursor = d::make_min_plus_one_cursor(spec.min_plus);
   while (d::min_plus_one_step(evaluate, spec.min_plus, cursor)) {
   }
-  return d::min_plus_one_result(cursor, spec.min_plus);
+  return {d::min_plus_one_result(cursor, spec.min_plus), policy.stats()};
 }
 
 void expect_identical(const d::MinPlusOneResult& a,
@@ -64,6 +69,15 @@ void expect_identical(const d::MinPlusOneResult& a,
   // Bit-identical, not approximately equal: the whole point of the
   // determinism contract.
   EXPECT_EQ(a.final_lambda, b.final_lambda);
+}
+
+/// The session finished exactly as the standalone run did: the same
+/// result and equal full PolicyStats (every counter and moment), however
+/// the service queued, interleaved, parked or resumed it.
+void expect_matches_standalone(const s::SessionManager& manager,
+                               s::SessionId id, const Standalone& reference) {
+  expect_identical(manager.min_plus_one_result(id), reference.result);
+  EXPECT_TRUE(manager.progress(id).stats == reference.stats);
 }
 
 TEST(SessionManager, RejectsBadSpecs) {
@@ -79,7 +93,7 @@ TEST(SessionManager, RejectsBadSpecs) {
 
 TEST(SessionManager, SingleSessionMatchesStandalone) {
   const s::SessionSpec spec = min_plus_spec(7);
-  const d::MinPlusOneResult reference = standalone_min_plus(spec);
+  const Standalone reference = standalone_min_plus(spec);
 
   s::SessionManager manager;
   const s::SessionId id = manager.create(spec);
@@ -87,24 +101,24 @@ TEST(SessionManager, SingleSessionMatchesStandalone) {
   const s::SessionProgress progress = manager.progress(id);
   EXPECT_TRUE(progress.exists);
   EXPECT_TRUE(progress.finished);
-  expect_identical(manager.min_plus_one_result(id), reference);
+  expect_matches_standalone(manager, id, reference);
 }
 
 TEST(SessionManager, ChunkedStepsMatchOneShot) {
   // Driving the cursor 2 steps per request must land on the same result:
   // requests are just resumable slices of one run.
   const s::SessionSpec spec = min_plus_spec(3);
-  const d::MinPlusOneResult reference = standalone_min_plus(spec);
+  const Standalone reference = standalone_min_plus(spec);
 
   s::SessionManager manager;
   const s::SessionId id = manager.create(spec);
   while (!manager.progress(id).finished) manager.wait(manager.submit(id, 2));
-  expect_identical(manager.min_plus_one_result(id), reference);
+  expect_matches_standalone(manager, id, reference);
 }
 
 TEST(SessionManager, ParkResumeRoundTripIsBitIdentical) {
   const s::SessionSpec spec = min_plus_spec(5);
-  const d::MinPlusOneResult reference = standalone_min_plus(spec);
+  const Standalone reference = standalone_min_plus(spec);
 
   // Reference stats from an unparked service run of the same spec.
   s::SessionManager plain;
@@ -124,15 +138,11 @@ TEST(SessionManager, ParkResumeRoundTripIsBitIdentical) {
   EXPECT_GT(steps_before, 0u);
 
   manager.wait(manager.submit(id, 1000));  // Resume and finish.
-  expect_identical(manager.min_plus_one_result(id), reference);
+  expect_matches_standalone(manager, id, reference);
 
-  // The replayed policy's statistics line up with the never-parked run —
+  // The replayed policy's statistics equal the never-parked run's —
   // parking is invisible to the evaluation stream.
-  const d::PolicyStats stats = manager.progress(id).stats;
-  EXPECT_EQ(stats.total, unparked.total);
-  EXPECT_EQ(stats.simulated, unparked.simulated);
-  EXPECT_EQ(stats.interpolated, unparked.interpolated);
-  EXPECT_EQ(stats.refits, unparked.refits);
+  EXPECT_TRUE(manager.progress(id).stats == unparked);
   const auto serve_stats = manager.stats();
   EXPECT_EQ(serve_stats.parks, 1u);
   EXPECT_EQ(serve_stats.resumes, 1u);
@@ -150,14 +160,11 @@ TEST(SessionManager, ParkOnNeverStartedSessionIsANoOp) {
   // The first request still starts the session fresh (not a resume).
   manager.wait(manager.submit(id, 1000));
   EXPECT_EQ(manager.stats().resumes, 0u);
-  expect_identical(manager.min_plus_one_result(id), standalone_min_plus(spec));
+  expect_matches_standalone(manager, id, standalone_min_plus(spec));
 }
 
 TEST(SessionManager, SecondParkIsANoOpAndResumeMatchesNeverParked) {
-  // Factor cache off: whole-stats equality needs it (a resumed policy's
-  // cold cache would skew the factor counters).
-  s::SessionSpec spec = min_plus_spec(6);
-  spec.policy.factor_cache_capacity = 0;
+  const s::SessionSpec spec = min_plus_spec(6);
   s::SessionManager plain;
   const s::SessionId p = plain.create(spec);
   plain.wait(plain.submit(p, 1000));
@@ -188,12 +195,9 @@ TEST(SessionManager, GateBearingSessionParksAndResumesWithEqualStats) {
   // persist — restore replays the recorded refits, which re-run the LOO
   // passes. Parking mid-run must therefore be invisible: the resumed
   // session's *entire* PolicyStats (gate counters and the loo_abs_error
-  // moments included) equals the never-parked run's. The factor cache
-  // stays off — stats equality is exactly the contract that relies on the
-  // cache-off default (a resumed run's cold cache would skew counters).
+  // moments included) equals the never-parked run's.
   s::SessionSpec spec = min_plus_spec(9);
   spec.name = "gated min+1";
-  spec.policy.factor_cache_capacity = 0;
   spec.policy.gate = d::GateKind::kLooCalibrated;
   spec.policy.gate_nn_floor = 2;
   spec.policy.loo_gate = 2.0;
@@ -240,8 +244,8 @@ TEST(SessionManager, LruResidencyCapParksColdSessions) {
   // Every session — parked or resident — still finishes identically.
   for (std::size_t i = 0; i < ids.size(); ++i) {
     manager.wait(manager.submit(ids[i], 1000));
-    expect_identical(manager.min_plus_one_result(ids[i]),
-                     standalone_min_plus(min_plus_spec(i)));
+    expect_matches_standalone(manager, ids[i],
+                              standalone_min_plus(min_plus_spec(i)));
   }
 }
 
@@ -272,8 +276,8 @@ TEST(SessionManager, ConcurrentSessionsAreEachBitIdentical) {
 
   for (std::size_t i = 0; i < kSessions; ++i) {
     EXPECT_TRUE(manager.progress(ids[i]).finished) << "session " << i;
-    expect_identical(manager.min_plus_one_result(ids[i]),
-                     standalone_min_plus(min_plus_spec(i)));
+    expect_matches_standalone(manager, ids[i],
+                              standalone_min_plus(min_plus_spec(i)));
   }
   const auto stats = manager.stats();
   EXPECT_EQ(stats.sessions_created, kSessions);

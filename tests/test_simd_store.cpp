@@ -8,14 +8,15 @@
 //   2. SoA-mirror store scans vs the AoS linear scans, index-identical,
 //      across random stores including post-quarantine and
 //      duplicate-update states, with the runtime toggle both ways;
-//   3. BorderedLdlt::solve(Matrix) columns vs solve(Vector), bit-exact;
-//   4. KrigingSystem::query_batch vs sequential query(), including the
-//      ridge-ladder path (ISSUE tolerance 1e-12; the implementation is
-//      bit-identical by construction, so we assert exact equality).
+//   3. LuDecomposition::solve(Matrix) columns vs solve(Vector), bit-exact;
+//   4. KrigingSystem answers — SIMD-assembled and served from a reused
+//      factor — vs a fresh scalar-assembled system per query, bit-exact,
+//      including the ridge-ladder path.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -23,7 +24,6 @@
 #include "dse/sim_store.hpp"
 #include "kriging/system.hpp"
 #include "kriging/variogram_model.hpp"
-#include "linalg/ldlt.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
@@ -228,34 +228,6 @@ TEST(SimdStore, LinearScansMatchBruteForceDistances) {
 
 // --- 3. multi-RHS solves --------------------------------------------------
 
-TEST(MultiRhs, BorderedLdltMatrixSolveMatchesColumnSolvesBitExactly) {
-  ace::util::Rng rng(41);
-  constexpr std::size_t n = 9;
-  // Symmetric diagonally dominant base: always factorable.
-  ace::linalg::Matrix a(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double v = i == j ? 10.0 + rng.uniform() : rng.uniform(-1.0, 1.0);
-      a(i, j) = v;
-      a(j, i) = v;
-    }
-  const ace::linalg::BorderedLdlt f(a);
-
-  constexpr std::size_t nrhs = 5;
-  ace::linalg::Matrix b(n, nrhs);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t c = 0; c < nrhs; ++c) b(i, c) = rng.uniform(-5.0, 5.0);
-
-  const ace::linalg::Matrix x = f.solve(b);
-  ASSERT_EQ(x.rows(), n);
-  ASSERT_EQ(x.cols(), nrhs);
-  for (std::size_t c = 0; c < nrhs; ++c) {
-    const ace::linalg::Vector xc = f.solve(b.col(c));
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(x(i, c), xc[i]) << "col=" << c << " row=" << i;
-  }
-}
-
 TEST(MultiRhs, LuMatrixSolveMatchesColumnSolvesBitExactly) {
   ace::util::Rng rng(42);
   constexpr std::size_t n = 7;
@@ -277,96 +249,120 @@ TEST(MultiRhs, LuMatrixSolveMatchesColumnSolvesBitExactly) {
   }
 }
 
-// --- 4. query_batch vs sequential query ----------------------------------
+// --- 4. kriging answers: SIMD assembly and factor reuse -------------------
 
-void expect_same_result(const std::optional<ace::kriging::KrigingResult>& a,
-                        const std::optional<ace::kriging::KrigingResult>& b,
+namespace k = ace::kriging;
+
+void expect_same_result(const std::optional<k::KrigingResult>& a,
+                        const std::optional<k::KrigingResult>& b,
                         std::size_t i) {
   ASSERT_EQ(a.has_value(), b.has_value()) << "query " << i;
   if (!a) return;
-  // ISSUE.md allows 1e-12; the implementation routes both paths through
-  // the same factorization and column-wise solve, so exact equality holds.
   EXPECT_EQ(a->estimate, b->estimate) << "query " << i;
   EXPECT_EQ(a->variance, b->variance) << "query " << i;
   EXPECT_EQ(a->regularized, b->regularized) << "query " << i;
   EXPECT_EQ(a->ridge, b->ridge) << "query " << i;
+  EXPECT_EQ(a->rcond, b->rcond) << "query " << i;
   ASSERT_EQ(a->weights.size(), b->weights.size()) << "query " << i;
-  for (std::size_t k = 0; k < a->weights.size(); ++k)
-    EXPECT_EQ(a->weights[k], b->weights[k]) << "query " << i << " w" << k;
+  for (std::size_t w = 0; w < a->weights.size(); ++w)
+    EXPECT_EQ(a->weights[w], b->weights[w]) << "query " << i << " w" << w;
 }
 
-TEST(QueryBatch, MatchesSequentialQueriesExactly) {
+/// Random integer-lattice support in `dim` dimensions plus real-valued
+/// queries over the same box.
+struct KrigingCase {
+  std::vector<std::vector<double>> points;
+  std::vector<double> values;
+  std::vector<std::vector<double>> queries;
+};
+
+KrigingCase make_kriging_case(std::uint64_t seed, std::size_t support,
+                              std::size_t dim, std::size_t nq) {
+  ace::util::Rng rng(seed);
+  KrigingCase c;
+  for (std::size_t i = 0; i < support; ++i) {
+    std::vector<double> p(dim);
+    for (auto& x : p) x = static_cast<double>(rng.uniform_int(0, 10));
+    c.points.push_back(std::move(p));
+    c.values.push_back(rng.uniform(-60.0, -20.0));
+  }
+  for (std::size_t q = 0; q < nq; ++q) {
+    std::vector<double> x(dim);
+    for (auto& v : x) v = rng.uniform(0.0, 10.0);
+    c.queries.push_back(std::move(x));
+  }
+  return c;
+}
+
+k::KrigingSystem make_system(const KrigingCase& c,
+                             const k::VariogramModel& model,
+                             k::DistanceFn distance = k::l1_distance) {
+  return k::KrigingSystem(k::SystemSpec{k::SystemKind::kOrdinary}, c.points,
+                          c.values, model, std::move(distance));
+}
+
+// One system answering a stream of queries from its memoized factor must
+// agree exactly with a fresh system per query, with the SIMD assembly
+// kernels on and off.
+TEST(FactorReuse, MatchesFreshSystemsExactly) {
   SimdToggleGuard guard;
+  const k::SphericalVariogram model(0.0, 10.0, 12.0);
+  const KrigingCase c = make_kriging_case(51, 12, 6, 24);
   for (const bool simd_on : {true, false}) {
     simd::set_enabled(simd_on);
-    ace::util::Rng rng(51);
-    constexpr std::size_t support = 12, dim = 6, nq = 24;
-    std::vector<std::vector<double>> pts;
-    std::vector<double> vals;
-    for (std::size_t i = 0; i < support; ++i) {
-      std::vector<double> p(dim);
-      for (auto& x : p) x = static_cast<double>(rng.uniform_int(0, 10));
-      pts.push_back(std::move(p));
-      vals.push_back(rng.uniform(-60.0, -20.0));
-    }
-    const ace::kriging::SphericalVariogram model(0.0, 10.0, 12.0);
-
-    std::vector<std::vector<double>> queries;
-    for (std::size_t q = 0; q < nq; ++q) {
-      std::vector<double> x(dim);
-      for (auto& v : x) v = rng.uniform(0.0, 10.0);
-      queries.push_back(std::move(x));
-    }
-
-    ace::kriging::KrigingSystem batch_sys(
-        ace::kriging::SystemSpec{ace::kriging::SystemKind::kOrdinary}, pts,
-        vals, model);
-    ace::kriging::KrigingSystem seq_sys(
-        ace::kriging::SystemSpec{ace::kriging::SystemKind::kOrdinary}, pts,
-        vals, model);
-
-    const auto batch = batch_sys.query_batch(queries);
-    ASSERT_EQ(batch.size(), nq);
-    for (std::size_t i = 0; i < nq; ++i)
-      expect_same_result(batch[i], seq_sys.query(queries[i]), i);
+    k::KrigingSystem reused = make_system(c, model);
+    for (std::size_t i = 0; i < c.queries.size(); ++i)
+      expect_same_result(reused.query(c.queries[i]),
+                         make_system(c, model).query(c.queries[i]), i);
+    EXPECT_EQ(reused.stats().solves, c.queries.size());
   }
 }
 
-TEST(QueryBatch, MatchesSequentialOnRidgeLadderPath) {
-  // Duplicate support rows make Γ singular, forcing the ridge ladder; the
-  // batch must climb exactly the rungs each query would climb alone.
-  std::vector<std::vector<double>> pts = {
-      {0.0, 0.0}, {1.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}, {2.0, 2.0}};
-  std::vector<double> vals = {0.0, 1.0, 1.0, 2.0, 3.0};
-  const ace::kriging::LinearVariogram model(0.0, 1.0);
-
-  std::vector<std::vector<double>> queries = {
-      {0.5, 0.5}, {1.5, 1.5}, {0.0, 0.0}, {2.0, 1.0}};
-
-  ace::kriging::KrigingSystem batch_sys(
-      ace::kriging::SystemSpec{ace::kriging::SystemKind::kOrdinary}, pts,
-      vals, model);
-  ace::kriging::KrigingSystem seq_sys(
-      ace::kriging::SystemSpec{ace::kriging::SystemKind::kOrdinary}, pts,
-      vals, model);
-
-  const auto batch = batch_sys.query_batch(queries);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i)
-    expect_same_result(batch[i], seq_sys.query(queries[i]), i);
+// The flat variogram makes the plain rung singular: the reused system
+// must climb to the same rung and answer exactly as a fresh one does.
+TEST(FactorReuse, MatchesFreshSystemsOnRidgeLadderPath) {
+  const k::LinearVariogram flat(0.0, 0.0);
+  const KrigingCase c = make_kriging_case(52, 5, 2, 6);
+  k::KrigingSystem reused = make_system(c, flat);
+  for (std::size_t i = 0; i < c.queries.size(); ++i) {
+    const auto got = reused.query(c.queries[i]);
+    ASSERT_TRUE(got);
+    EXPECT_TRUE(got->regularized);
+    expect_same_result(got, make_system(c, flat).query(c.queries[i]), i);
+  }
 }
 
-TEST(QueryBatch, EmptyAndSingletonBatches) {
-  std::vector<std::vector<double>> pts = {{0.0, 0.0}, {1.0, 0.0}, {0.0, 1.0}};
-  std::vector<double> vals = {0.0, 1.0, 2.0};
-  const ace::kriging::LinearVariogram model(0.0, 1.0);
-  ace::kriging::KrigingSystem sys(
-      ace::kriging::SystemSpec{ace::kriging::SystemKind::kOrdinary}, pts,
-      vals, model);
-  EXPECT_TRUE(sys.query_batch({}).empty());
-  const auto one = sys.query_batch({{0.5, 0.5}});
-  ASSERT_EQ(one.size(), 1u);
-  expect_same_result(one[0], sys.query({0.5, 0.5}), 0);
+TEST(FactorReuse, QueryOrderDoesNotChangeAnswers) {
+  const k::ExponentialVariogram model(0.05, 1.5, 6.0);
+  const KrigingCase c = make_kriging_case(53, 9, 3, 12);
+  k::KrigingSystem forward = make_system(c, model);
+  k::KrigingSystem backward = make_system(c, model);
+  std::vector<std::optional<k::KrigingResult>> back(c.queries.size());
+  for (std::size_t i = c.queries.size(); i-- > 0;)
+    back[i] = backward.query(c.queries[i]);
+  for (std::size_t i = 0; i < c.queries.size(); ++i)
+    expect_same_result(forward.query(c.queries[i]), back[i], i);
+}
+
+// The batched column assembly only dispatches to the util::simd kernels
+// for the built-in L1/L2 distances; both must match the scalar backend.
+TEST(KrigingAssembly, SimdAndScalarBackendsAgreeForBothDistances) {
+  SimdToggleGuard guard;
+  const k::GaussianVariogram model(0.05, 3.0, 9.0);
+  const KrigingCase c = make_kriging_case(54, 10, 5, 8);
+  for (const auto& distance : {k::DistanceFn(k::l1_distance),
+                               k::DistanceFn(k::l2_distance)}) {
+    simd::set_enabled(true);
+    k::KrigingSystem vector_sys = make_system(c, model, distance);
+    simd::set_enabled(false);
+    k::KrigingSystem scalar_sys = make_system(c, model, distance);
+    for (std::size_t i = 0; i < c.queries.size(); ++i) {
+      simd::set_enabled(true);
+      const auto a = vector_sys.query(c.queries[i]);
+      simd::set_enabled(false);
+      expect_same_result(a, scalar_sys.query(c.queries[i]), i);
+    }
+  }
 }
 
 }  // namespace
