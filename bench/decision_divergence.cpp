@@ -1,48 +1,26 @@
 // Reproduces the Sec. IV observation that kriging-in-the-loop changes
 // roughly 10% of the optimizer's greedy decisions while converging to a
 // similar final configuration.
-//
-// It also doubles as the SIMD identity gate (DESIGN.md §10): every
-// benchmark row is run with the vector kernels toggled off and on, and
-// the two kriging-guided optimizer trajectories must match *exactly* —
-// same step count, same divergence-vs-exact profile, same final
-// configuration. The kernels are bit-identical to their scalar twins, so
-// any mismatch here is a kernel regression, not round-off.
 #include <iostream>
 
 #include "core/benchmarks.hpp"
 #include "core/table1.hpp"
 #include "dse/config.hpp"
-#include "util/simd.hpp"
 #include "util/table.hpp"
 
 namespace {
-
-bool g_simd_identical = true;
 
 void report(const ace::core::ApplicationBenchmark& bench, int distance,
             ace::util::TablePrinter& table) {
   ace::dse::PolicyOptions options;
   options.distance = distance;
-
-  ace::util::simd::set_enabled(false);
-  const auto scalar = ace::core::run_decision_divergence(bench, options);
-  ace::util::simd::set_enabled(true);
   const auto r = ace::core::run_decision_divergence(bench, options);
-
-  const bool identical = scalar.exact_steps == r.exact_steps &&
-                         scalar.kriging_steps == r.kriging_steps &&
-                         scalar.diverging == r.diverging &&
-                         scalar.exact_result == r.exact_result &&
-                         scalar.kriging_result == r.kriging_result;
-  g_simd_identical = g_simd_identical && identical;
 
   table.add_row({bench.name, std::to_string(distance),
                  std::to_string(r.exact_steps),
                  std::to_string(r.kriging_steps),
                  ace::util::fmt(r.diverging_percent, 1),
-                 std::to_string(r.result_l1_gap),
-                 identical ? "yes" : "NO"});
+                 std::to_string(r.result_l1_gap)});
 }
 
 }  // namespace
@@ -51,7 +29,7 @@ int main() {
   std::cout << "=== Sec. IV: optimizer decision divergence with kriging ===\n";
   ace::util::TablePrinter table({"benchmark", "d", "steps(exact)",
                                  "steps(kriging)", "diverging (%)",
-                                 "final L1 gap", "simd=scalar"});
+                                 "final L1 gap"});
   for (int d = 2; d <= 4; ++d)
     report(ace::core::make_fir_benchmark(), d, table);
   for (int d = 2; d <= 3; ++d)
@@ -64,11 +42,4 @@ int main() {
   table.print(std::cout);
   std::cout << "\npaper: ~10% of decisions differ; the greedy search\n"
                "compensates and lands on a similar result (small L1 gap)\n";
-  std::cout << "\nSIMD identity gate (backend: "
-            << ace::util::simd::backend() << "): "
-            << (g_simd_identical
-                    ? "PASS — scalar and vector runs are decision-identical"
-                    : "FAIL — scalar/vector trajectories diverged")
-            << '\n';
-  return g_simd_identical ? 0 : 1;
 }

@@ -1,14 +1,8 @@
 // Micro-benchmarks (google-benchmark): the per-call costs behind the
 // paper's 10⁻⁶-second interpolation claim — the kriging solve as a
 // function of support size, neighbour search, variogram fitting, and the
-// bit-accurate simulation primitives it replaces.
-//
-// The *Scan and NeighborSearchWide benchmarks form a roofline-ish suite
-// for the SIMD/SoA layer (DESIGN.md §10): each streams the same data
-// through the scalar reference twin (arg0 = 0, a TU compiled with
-// auto-vectorization off) and the dispatching kernel (arg0 = 1), reporting
-// bytes/s and items/s. EXPERIMENTS.md holds the measured table; CI
-// regenerates BENCH_micro.json from this binary.
+// bit-accurate simulation primitives it replaces. CI regenerates
+// BENCH_micro.json from this binary.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -26,7 +20,6 @@
 #include "signal/fir.hpp"
 #include "signal/generator.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace {
 
@@ -87,8 +80,8 @@ void BM_NeighborSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborSearch)->Arg(64)->Arg(512)->Arg(4096);
 
-// The unindexed AoS linear scan — the baseline that shows what the
-// coordinate-sum buckets and the blocked SoA scan actually buy.
+// The unindexed linear scan — the baseline that shows what the
+// coordinate-sum buckets actually buy.
 void BM_NeighborSearchLinear(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   ace::dse::SimulationStore store;
@@ -102,87 +95,21 @@ void BM_NeighborSearchLinear(benchmark::State& state) {
 BENCHMARK(BM_NeighborSearchLinear)->Arg(64)->Arg(512)->Arg(4096);
 
 // Wide-radius search: the coordinate-sum band covers the whole store, so
-// the store takes its blocked SoA path — arg0 toggles the SIMD backend to
-// A/B the identical-result fast path against its scalar twin.
+// the bucket walk degenerates into a full scan plus the ascending-index
+// sort — the worst case of the indexed path.
 void BM_NeighborSearchWide(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(0));
   ace::dse::SimulationStore store;
   fill_store(store, n, 10, 2);
   const ace::dse::Config query(10, 9);
-  ace::util::simd::set_enabled(state.range(0) != 0);
   for (auto _ : state) {
     auto hits = store.neighbors_within(query, 60);
     benchmark::DoNotOptimize(hits);
   }
-  ace::util::simd::set_enabled(true);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
-  state.SetLabel(state.range(0) != 0 ? ace::util::simd::backend() : "scalar");
 }
-BENCHMARK(BM_NeighborSearchWide)->Args({0, 4096})->Args({1, 4096});
-
-// L1 distance scan over SoA int columns (the store's blocked-scan kernel):
-// bytes/s is the roofline axis — the kernel streams count·dim int32 loads
-// per pass.
-void BM_L1DistanceScan(benchmark::State& state) {
-  constexpr std::size_t dim = 16;
-  const auto n = static_cast<std::size_t>(state.range(1));
-  ace::util::Rng rng(6);
-  std::vector<std::vector<int>> cols(dim, std::vector<int>(n));
-  for (auto& c : cols)
-    for (auto& x : c) x = rng.uniform_int(0, 16);
-  std::vector<const int*> ptrs(dim);
-  for (std::size_t d = 0; d < dim; ++d) ptrs[d] = cols[d].data();
-  const std::vector<int> query(dim, 8);
-  std::vector<int> out(n);
-  ace::util::simd::set_enabled(state.range(0) != 0);
-  for (auto _ : state) {
-    ace::util::simd::l1_distances_i32(ptrs.data(), dim, query.data(), n,
-                                      out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  ace::util::simd::set_enabled(true);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * dim * sizeof(int)));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-  state.SetLabel(state.range(0) != 0 ? ace::util::simd::backend() : "scalar");
-}
-BENCHMARK(BM_L1DistanceScan)->Args({0, 4096})->Args({1, 4096})
-    ->Args({0, 65536})->Args({1, 65536});
-
-// The vectorizable stage of γ-vector/variogram-block assembly: query →
-// support distances over f64 SoA columns at Nv = 16 (KrigingSystem's
-// distances_to). The γ(d) map on top is identical scalar work on both
-// paths, so the distance stage is where the scalar-vs-SIMD ratio lives.
-void BM_GammaAssemblyScan(benchmark::State& state) {
-  constexpr std::size_t dim = 16;
-  const auto n = static_cast<std::size_t>(state.range(1));
-  ace::util::Rng rng(7);
-  std::vector<std::vector<double>> cols(dim, std::vector<double>(n));
-  for (auto& c : cols)
-    for (auto& x : c) x = static_cast<double>(rng.uniform_int(0, 16));
-  std::vector<const double*> ptrs(dim);
-  for (std::size_t d = 0; d < dim; ++d) ptrs[d] = cols[d].data();
-  const std::vector<double> query(dim, 8.0);
-  std::vector<double> out(n);
-  ace::util::simd::set_enabled(state.range(0) != 0);
-  for (auto _ : state) {
-    ace::util::simd::l1_distances_f64(ptrs.data(), dim, query.data(), n,
-                                      out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  ace::util::simd::set_enabled(true);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * dim * sizeof(double)));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-  state.SetLabel(state.range(0) != 0 ? ace::util::simd::backend() : "scalar");
-}
-BENCHMARK(BM_GammaAssemblyScan)->Args({0, 4096})->Args({1, 4096})
-    ->Args({0, 65536})->Args({1, 65536});
+BENCHMARK(BM_NeighborSearchWide)->Arg(4096);
 
 void BM_VariogramFit(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -167,7 +167,11 @@ struct PolicyStats {
   std::size_t simulated = 0;
   std::size_t interpolated = 0;
   std::size_t exact_hits = 0;           ///< Served from the store verbatim.
-  std::size_t kriging_failures = 0;     ///< Unsolvable system: simulated.
+  /// Interpolation attempts that yielded no estimate and fell through to
+  /// simulation: no fitted model yet, sanity-guard rejection, post-solve
+  /// gate veto (also counted in the gate's own *_rejections counter) or
+  /// unsolvable system.
+  std::size_t kriging_failures = 0;
   std::size_t variance_rejections = 0;  ///< Gated by kriging variance.
   std::size_t refits = 0;               ///< Successful variogram (re)fits.
   std::size_t failed_refits = 0;        ///< Attempts with too little data.

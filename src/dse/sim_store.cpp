@@ -1,14 +1,12 @@
 #include "dse/sim_store.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
 
 #include "util/contract.hpp"
 #include "util/errors.hpp"
-#include "util/simd.hpp"
 
 namespace ace::dse {
 
@@ -18,10 +16,6 @@ int coordinate_sum(const Config& c) {
   return std::accumulate(c.begin(), c.end(), 0);
 }
 
-/// Points per blocked-scan step: 4 KiB of i32 distances — comfortably
-/// inside L1d alongside one block of one column.
-constexpr std::size_t kScanBlock = 1024;
-
 }  // namespace
 
 void SimulationStore::check_dimensions(const Config& c,
@@ -29,17 +23,6 @@ void SimulationStore::check_dimensions(const Config& c,
   if (!configs_.empty() && c.size() != configs_.front().size())
     throw std::invalid_argument(std::string("SimulationStore::") + what +
                                 ": dimension mismatch");
-}
-
-std::size_t SimulationStore::band_population(int lo, int hi) const {
-  // An inverted band (lo > hi) would make lower_bound(lo) sit *past*
-  // upper_bound(hi) and the walk below would run off the map — guard it.
-  if (lo > hi) return 0;
-  std::size_t pop = 0;
-  const auto first = sum_buckets_.lower_bound(lo);
-  const auto last = sum_buckets_.upper_bound(hi);
-  for (auto it = first; it != last; ++it) pop += it->second.size();
-  return pop;
 }
 
 std::size_t SimulationStore::add(Config config, double value) {
@@ -61,13 +44,8 @@ std::size_t SimulationStore::add(Config config, double value) {
   values_.push_back(value);
   exact_.emplace(configs_.back(), index);
   sum_buckets_[sum].push_back(index);
-  const Config& stored = configs_.back();
-  if (soa_.size() != stored.size()) soa_.resize(stored.size());
-  for (std::size_t d = 0; d < stored.size(); ++d) soa_[d].push_back(stored[d]);
   ACE_INVARIANT(configs_.size() == values_.size(),
                 "configs/values must grow in lockstep");
-  ACE_INVARIANT(soa_.empty() || soa_.front().size() == configs_.size(),
-                "columnar mirror must grow in lockstep with configs");
   return index;
 }
 
@@ -108,25 +86,6 @@ Neighborhood SimulationStore::neighbors_within(const Config& query,
   if (configs_.empty()) return n;
   check_dimensions(query, "neighbors_within");
   const int qsum = coordinate_sum(query);
-  // When the coordinate-sum band holds most of the store, the bucket walk
-  // degenerates into a scattered full scan; the contiguous blocked scan
-  // over the columnar mirror streams the same points faster and yields
-  // the identical neighbourhood (integer L1 is exact on both paths).
-  if (2 * band_population(qsum - radius, qsum + radius) >= configs_.size()) {
-    const std::size_t dim = query.size();
-    const std::size_t total = configs_.size();
-    std::vector<const int*> cols(dim);
-    std::array<int, kScanBlock> dists;
-    for (std::size_t base = 0; base < total; base += kScanBlock) {
-      const std::size_t count = std::min(kScanBlock, total - base);
-      for (std::size_t d = 0; d < dim; ++d) cols[d] = soa_[d].data() + base;
-      util::simd::l1_distances_i32(cols.data(), dim, query.data(), count,
-                                   dists.data());
-      for (std::size_t i = 0; i < count; ++i)
-        if (dists[i] <= radius) n.indices.push_back(base + i);
-    }
-    return n;  // Blocked scan visits indices in order: already ascending.
-  }
   const auto first = sum_buckets_.lower_bound(qsum - radius);
   const auto last = sum_buckets_.upper_bound(qsum + radius);
   for (auto it = first; it != last; ++it)
@@ -152,24 +111,6 @@ Neighborhood SimulationStore::neighbors_within_l2(const Config& query,
   const int band = static_cast<int>(
       std::ceil(std::sqrt(static_cast<double>(query.size())) * radius));
   const int qsum = coordinate_sum(query);
-  if (2 * band_population(qsum - band, qsum + band) >= configs_.size()) {
-    // Blocked scan over the mirror: the kernel yields the exact squared
-    // distance (integer-valued doubles), and std::sqrt of it is the very
-    // computation l2_distance performs — bit-identical accept decisions.
-    const std::size_t dim = query.size();
-    const std::size_t total = configs_.size();
-    std::vector<const int*> cols(dim);
-    std::array<double, kScanBlock> sq;
-    for (std::size_t base = 0; base < total; base += kScanBlock) {
-      const std::size_t count = std::min(kScanBlock, total - base);
-      for (std::size_t d = 0; d < dim; ++d) cols[d] = soa_[d].data() + base;
-      util::simd::l2_sq_distances_i32(cols.data(), dim, query.data(), count,
-                                      sq.data());
-      for (std::size_t i = 0; i < count; ++i)
-        if (std::sqrt(sq[i]) <= radius) n.indices.push_back(base + i);
-    }
-    return n;
-  }
   const auto first = sum_buckets_.lower_bound(qsum - band);
   const auto last = sum_buckets_.upper_bound(qsum + band);
   for (auto it = first; it != last; ++it)

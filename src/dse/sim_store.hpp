@@ -12,7 +12,10 @@
 //     falls in [Σq − r, Σq + r] can hold L1 neighbours of query q (and
 //     within ±⌈√Nv·r⌉ for L2 queries, since ||·||₁ <= √Nv·||·||₂). This
 //     replaces the O(N) linear scan per neighbourhood lookup with a scan
-//     of the few populated buckets in the band.
+//     of the few populated buckets in the band. Candidates are tested with
+//     the canonical l1_distance / l2_distance helpers and the hits sorted
+//     into ascending index order, so the result equals the *_linear
+//     reference scans.
 //
 // Faulted configurations are *quarantined*: a configuration whose
 // simulation exhausted its retry budget (threw, returned NaN/Inf, or blew
@@ -25,16 +28,6 @@
 // through restore-replay or a distributed merge — is healthy support, not
 // a permanent outcast. The quarantine_log_ keeps the lifted entry for
 // audit; only the active-quarantine map forgets it.
-//
-// For the radius scans the store additionally keeps a columnar (SoA)
-// mirror of configs_ — one contiguous int column per coordinate, grown in
-// lockstep under the same mutex. When a query's coordinate-sum band covers
-// most of the store, neighbors_within switches from the bucket walk to a
-// blocked contiguous scan over the mirror using the util::simd kernels
-// (AVX2 when configured, scalar otherwise). Both paths — and both
-// backends — return bit-identical neighbourhoods: L1 is integer-exact and
-// the L2 scan compares the same exact integer-valued squared distance the
-// scalar code computes (DESIGN.md §10 has the full contract).
 //
 // Thread-safety: every member — writes *and* reads — takes the annotated
 // `mutex_`, so the Clang capability analysis (-Wthread-safety) proves the
@@ -123,9 +116,9 @@ class SimulationStore {
   Neighborhood neighbors_within_l2(const Config& query, double radius) const
       ACE_EXCLUDES(mutex_);
 
-  /// Reference implementations: plain AoS linear scans with no bucket
-  /// index and no SIMD. Deliberately unoptimized — the decision-identity
-  /// oracle for the property tests and the baseline denominator for
+  /// Reference implementations: plain linear scans with no bucket
+  /// index. Deliberately unoptimized — the decision-identity oracle for
+  /// the property tests and the baseline denominator for
   /// bench/micro_kriging's neighbour-search speedup attribution.
   Neighborhood neighbors_within_linear(const Config& query, int radius) const
       ACE_EXCLUDES(mutex_);
@@ -169,15 +162,8 @@ class SimulationStore {
   void check_dimensions(const Config& c, const char* what) const
       ACE_REQUIRES(mutex_);
 
-  /// Sum of bucket sizes in the coordinate-sum band [lo, hi].
-  std::size_t band_population(int lo, int hi) const ACE_REQUIRES(mutex_);
-
   std::vector<Config> configs_ ACE_GUARDED_BY(mutex_);
   std::vector<double> values_ ACE_GUARDED_BY(mutex_);
-  /// Columnar mirror of configs_: soa_[d][i] == configs_[i][d]. Grown only
-  /// inside add() under mutex_, read only under mutex_ — the same lock
-  /// discipline as the row store it mirrors.
-  std::vector<std::vector<int>> soa_ ACE_GUARDED_BY(mutex_);
   /// Exact-match index: configuration -> position in configs_.
   std::unordered_map<Config, std::size_t, ConfigHash> exact_
       ACE_GUARDED_BY(mutex_);

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "util/contract.hpp"
-#include "util/simd.hpp"
 
 namespace ace::kriging {
 
@@ -23,11 +22,6 @@ bool acceptable(const linalg::Vector& x) {
       return false;
   return true;
 }
-
-/// Raw function-pointer form of DistanceFn — what the defaulted built-in
-/// distances are stored as inside the std::function.
-using RawDistance = double (*)(const std::vector<double>&,
-                               const std::vector<double>&);
 
 }  // namespace
 
@@ -71,39 +65,13 @@ KrigingSystem::KrigingSystem(SystemSpec spec,
       slots_.push_back({u, false});
     }
   }
-  // Batched assembly can only vectorize distances it can prove identical
-  // to the configured functor: recognise the two built-ins by address.
-  if (const RawDistance* raw = distance_.target<RawDistance>()) {
-    if (*raw == &l1_distance)
-      distance_kind_ = DistanceKind::kL1;
-    else if (*raw == &l2_distance)
-      distance_kind_ = DistanceKind::kL2;
-  }
-  build_columns();
   init_border();
-}
-
-void KrigingSystem::build_columns() {
-  cols_.assign(dim_, {});
-  for (auto& c : cols_) c.reserve(points_.size());
-  for (const auto& p : points_)
-    for (std::size_t d = 0; d < dim_; ++d) cols_[d].push_back(p[d]);
 }
 
 void KrigingSystem::distances_to(const std::vector<double>& x,
                                  std::size_t first, double* out) const {
-  const std::size_t n = points_.size();
-  if (distance_kind_ == DistanceKind::kCustom) {
-    for (std::size_t k = first; k < n; ++k)
-      out[k - first] = distance_(x, points_[k]);
-    return;
-  }
-  std::vector<const double*> cols(dim_);
-  for (std::size_t d = 0; d < dim_; ++d) cols[d] = cols_[d].data() + first;
-  if (distance_kind_ == DistanceKind::kL1)
-    util::simd::l1_distances_f64(cols.data(), dim_, x.data(), n - first, out);
-  else
-    util::simd::l2_distances_f64(cols.data(), dim_, x.data(), n - first, out);
+  for (std::size_t k = first; k < points_.size(); ++k)
+    out[k - first] = distance_(x, points_[k]);
 }
 
 void KrigingSystem::init_border() {
@@ -164,9 +132,8 @@ linalg::Matrix KrigingSystem::assemble(double shift) const {
   const std::size_t n = points_.size();
   const std::size_t m = system_size();
   linalg::Matrix a(m, m);
-  // Variogram block, one batched row at a time: distances from point j to
-  // the contiguous tail j..n-1 stream the SoA columns through the SIMD
-  // kernel (bit-identical per-entry to the scalar distance_ call).
+  // Variogram block, one row at a time: distances from point j to the
+  // tail j..n-1 fill the upper triangle and its mirror.
   std::vector<double> dists(n);
   for (std::size_t j = 0; j < n; ++j) {
     distances_to(points_[j], j, dists.data());
@@ -188,7 +155,7 @@ linalg::Matrix KrigingSystem::assemble(double shift) const {
 linalg::Vector KrigingSystem::assemble_rhs(const std::vector<double>& q) const {
   linalg::Vector rhs(system_size());
   const std::size_t n = points_.size();
-  // Batched γ-vector: all query→support distances in one kernel pass.
+  // γ-vector: all query→support distances.
   std::vector<double> dists(n);
   distances_to(q, 0, dists.data());
   for (std::size_t k = 0; k < n; ++k) rhs[k] = entry_of(dists[k]);

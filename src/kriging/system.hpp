@@ -151,23 +151,14 @@ class KrigingSystem {
     linalg::LuDecomposition lu;
   };
 
-  /// How distance_ was constructed. The batched assembly dispatches the
-  /// util::simd column kernels only for the two known built-ins (their
-  /// kernels are bit-identical to the std::function call); custom
-  /// distances keep the per-pair path.
-  enum class DistanceKind { kL1, kL2, kCustom };
-
   /// Matrix/rhs entry (γ or covariance) as a function of a distance.
   double entry_of(double d) const;
   /// Diagonal entry of a support point: entry_of(0) with the noise nugget
   /// folded in (+τ² covariance form, −τ² variogram form; exact no-op at 0).
   double diagonal_entry() const;
-  /// Distances from x to unique points [first, n), written to out —
-  /// batched over cols_ for the built-in distances.
+  /// Distances from x to unique points [first, n), written to out.
   void distances_to(const std::vector<double>& x, std::size_t first,
                     double* out) const;
-  /// Build the SoA column mirror of points_.
-  void build_columns();
   /// Drift basis f(x) under the effective drift.
   std::vector<double> drift_basis(const std::vector<double>& x) const;
 
@@ -204,10 +195,6 @@ class KrigingSystem {
 
   std::vector<std::vector<double>> points_;  ///< Unique, insertion order.
   std::vector<double> values_;               ///< Values of unique points.
-  /// Columnar (SoA) mirror of points_: cols_[d][u] == points_[u][d], so
-  /// assembly streams contiguous columns per dimension.
-  std::vector<std::vector<double>> cols_;
-  DistanceKind distance_kind_ = DistanceKind::kCustom;
   std::vector<Slot> slots_;                  ///< Caller-visible order.
 
   std::size_t border_ = 0;  ///< Lagrange/drift columns.

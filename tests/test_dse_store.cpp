@@ -118,6 +118,99 @@ TEST(SimulationStore, IndexedRadiusQueriesMatchBruteForce) {
   }
 }
 
+/// A store driven through the full mutation surface: adds, duplicate
+/// updates (value refresh, no new row), quarantines, and quarantine lifts.
+void build_exercised_store(d::SimulationStore& store,
+                           std::vector<d::Config>& configs,
+                           unsigned seed, std::size_t n, std::size_t dim,
+                           int hi) {
+  ace::util::Rng rng(seed);
+  while (configs.size() < n) {
+    d::Config c(dim);
+    for (auto& v : c) v = rng.uniform_int(0, hi);
+    const bool dup = store.find(c).has_value();
+    if (!dup && rng.uniform() < 0.15) {
+      // Quarantine first; a later clean add must lift it and still index
+      // the point correctly in both indexes.
+      store.quarantine(c, d::FaultCode::kTimeout);
+      if (rng.uniform() < 0.5) continue;  // Some stay quarantined unadded.
+    }
+    const std::size_t idx = store.add(d::Config(c), rng.uniform(-60.0, -20.0));
+    if (dup) {
+      EXPECT_EQ(configs[idx], c);  // Update-in-place, not a new row.
+      continue;
+    }
+    configs.push_back(std::move(c));
+  }
+  // A few more duplicate updates on settled rows.
+  for (int k = 0; k < 10 && !configs.empty(); ++k) {
+    const auto i = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<int>(configs.size()) - 1));
+    EXPECT_EQ(store.add(d::Config(configs[i]), rng.uniform(-60.0, -20.0)), i);
+  }
+  ASSERT_EQ(store.size(), configs.size());
+}
+
+TEST(SimulationStore, BucketScansMatchLinearScansIndexIdentically) {
+  for (const unsigned seed : {21u, 22u, 23u}) {
+    d::SimulationStore store;
+    std::vector<d::Config> configs;
+    // Small coordinate range → dense duplicates; dim 4 keeps the
+    // brute-force reference cheap.
+    build_exercised_store(store, configs, seed, 120, 4, 6);
+
+    ace::util::Rng rng(seed + 100);
+    for (int q = 0; q < 20; ++q) {
+      d::Config query(4);
+      for (auto& v : query) v = rng.uniform_int(0, 6);
+      // Radii from a single bucket up to a band that covers the whole
+      // store (24 in L1, 12.0 in L2): the walk must visit every bucket
+      // and still return ascending indices.
+      for (const int radius : {0, 1, 2, 5, 10, 24}) {
+        const auto fast = store.neighbors_within(query, radius);
+        const auto ref = store.neighbors_within_linear(query, radius);
+        EXPECT_EQ(fast.indices, ref.indices)
+            << "seed=" << seed << " radius=" << radius;
+      }
+      for (const double radius : {0.0, 1.0, 1.5, 3.2, 12.0}) {
+        const auto fast = store.neighbors_within_l2(query, radius);
+        const auto ref = store.neighbors_within_l2_linear(query, radius);
+        EXPECT_EQ(fast.indices, ref.indices)
+            << "seed=" << seed << " radius=" << radius;
+      }
+    }
+  }
+}
+
+TEST(SimulationStore, LinearScansMatchBruteForceDistances) {
+  // Anchors the linear scans themselves to the distance definitions, so
+  // the index-identity test above cannot pass by both paths being wrong.
+  d::SimulationStore store;
+  std::vector<d::Config> configs;
+  build_exercised_store(store, configs, 31, 80, 4, 6);
+  ace::util::Rng rng(131);
+  for (int q = 0; q < 10; ++q) {
+    d::Config query(4);
+    for (auto& v : query) v = rng.uniform_int(0, 6);
+    for (const int radius : {0, 2, 7}) {
+      std::vector<std::size_t> expected;
+      for (std::size_t i = 0; i < configs.size(); ++i)
+        if (d::l1_distance(configs[i], query) <= radius)
+          expected.push_back(i);
+      EXPECT_EQ(store.neighbors_within_linear(query, radius).indices,
+                expected);
+    }
+    for (const double radius : {1.0, 2.5, 6.0}) {
+      std::vector<std::size_t> expected;
+      for (std::size_t i = 0; i < configs.size(); ++i)
+        if (d::l2_distance(configs[i], query) <= radius)
+          expected.push_back(i);
+      EXPECT_EQ(store.neighbors_within_l2_linear(query, radius).indices,
+                expected);
+    }
+  }
+}
+
 TEST(SimulationStore, NeighborQueryRejectsDimensionMismatch) {
   d::SimulationStore store;
   store.add({1, 2, 3}, 0.0);

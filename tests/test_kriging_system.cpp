@@ -531,6 +531,97 @@ TEST_P(KrigingSystemKindTest, VarianceGrowsAwayFromSupport) {
 INSTANTIATE_TEST_SUITE_P(AllEstimators, KrigingSystemKindTest,
                          ::testing::ValuesIn(all_specs()), kind_name);
 
+void expect_same_result(const std::optional<k::KrigingResult>& a,
+                        const std::optional<k::KrigingResult>& b,
+                        std::size_t i) {
+  ASSERT_EQ(a.has_value(), b.has_value()) << "query " << i;
+  if (!a) return;
+  EXPECT_EQ(a->estimate, b->estimate) << "query " << i;
+  EXPECT_EQ(a->variance, b->variance) << "query " << i;
+  EXPECT_EQ(a->regularized, b->regularized) << "query " << i;
+  EXPECT_EQ(a->ridge, b->ridge) << "query " << i;
+  EXPECT_EQ(a->rcond, b->rcond) << "query " << i;
+  ASSERT_EQ(a->weights.size(), b->weights.size()) << "query " << i;
+  for (std::size_t w = 0; w < a->weights.size(); ++w)
+    EXPECT_EQ(a->weights[w], b->weights[w]) << "query " << i << " w" << w;
+}
+
+/// Random integer-lattice support in `dim` dimensions plus real-valued
+/// queries over the same box.
+struct KrigingCase {
+  std::vector<std::vector<double>> points;
+  std::vector<double> values;
+  std::vector<std::vector<double>> queries;
+};
+
+KrigingCase make_kriging_case(std::uint64_t seed, std::size_t support,
+                              std::size_t dim, std::size_t nq) {
+  ace::util::Rng rng(seed);
+  KrigingCase c;
+  for (std::size_t i = 0; i < support; ++i) {
+    std::vector<double> p(dim);
+    for (auto& x : p) x = static_cast<double>(rng.uniform_int(0, 10));
+    c.points.push_back(std::move(p));
+    c.values.push_back(rng.uniform(-60.0, -20.0));
+  }
+  for (std::size_t q = 0; q < nq; ++q) {
+    std::vector<double> x(dim);
+    for (auto& v : x) v = rng.uniform(0.0, 10.0);
+    c.queries.push_back(std::move(x));
+  }
+  return c;
+}
+
+k::KrigingSystem make_system(const KrigingCase& c,
+                             const k::VariogramModel& model,
+                             k::DistanceFn distance = k::l1_distance) {
+  return k::KrigingSystem(k::SystemSpec{k::SystemKind::kOrdinary}, c.points,
+                          c.values, model, std::move(distance));
+}
+
+// One system answering a stream of queries from its memoized factor must
+// agree exactly with a fresh system per query, for both built-in
+// distances.
+TEST(FactorReuse, MatchesFreshSystemsExactly) {
+  const k::SphericalVariogram model(0.0, 10.0, 12.0);
+  const KrigingCase c = make_kriging_case(51, 12, 6, 24);
+  for (const auto& distance : {k::DistanceFn(k::l1_distance),
+                               k::DistanceFn(k::l2_distance)}) {
+    k::KrigingSystem reused = make_system(c, model, distance);
+    for (std::size_t i = 0; i < c.queries.size(); ++i)
+      expect_same_result(reused.query(c.queries[i]),
+                         make_system(c, model, distance).query(c.queries[i]),
+                         i);
+    EXPECT_EQ(reused.stats().solves, c.queries.size());
+  }
+}
+
+// The flat variogram makes the plain rung singular: the reused system
+// must climb to the same rung and answer exactly as a fresh one does.
+TEST(FactorReuse, MatchesFreshSystemsOnRidgeLadderPath) {
+  const k::LinearVariogram flat(0.0, 0.0);
+  const KrigingCase c = make_kriging_case(52, 5, 2, 6);
+  k::KrigingSystem reused = make_system(c, flat);
+  for (std::size_t i = 0; i < c.queries.size(); ++i) {
+    const auto got = reused.query(c.queries[i]);
+    ASSERT_TRUE(got);
+    EXPECT_TRUE(got->regularized);
+    expect_same_result(got, make_system(c, flat).query(c.queries[i]), i);
+  }
+}
+
+TEST(FactorReuse, QueryOrderDoesNotChangeAnswers) {
+  const k::ExponentialVariogram model(0.05, 1.5, 6.0);
+  const KrigingCase c = make_kriging_case(53, 9, 3, 12);
+  k::KrigingSystem forward = make_system(c, model);
+  k::KrigingSystem backward = make_system(c, model);
+  std::vector<std::optional<k::KrigingResult>> back(c.queries.size());
+  for (std::size_t i = c.queries.size(); i-- > 0;)
+    back[i] = backward.query(c.queries[i]);
+  for (std::size_t i = 0; i < c.queries.size(); ++i)
+    expect_same_result(forward.query(c.queries[i]), back[i], i);
+}
+
 TEST(KrigingSystem, ValidatesInput) {
   const k::SphericalVariogram model(0.1, 2.0, 8.0);
   EXPECT_THROW(k::KrigingSystem({k::SystemKind::kOrdinary}, {}, {}, model),

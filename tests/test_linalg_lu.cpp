@@ -85,6 +85,27 @@ TEST(Lu, MultipleRightHandSides) {
   EXPECT_NEAR(x(1, 1), 2.0, 1e-12);
 }
 
+TEST(MultiRhs, LuMatrixSolveMatchesColumnSolvesBitExactly) {
+  ace::util::Rng rng(42);
+  constexpr std::size_t n = 7;
+  Matrix a(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      a(i, j) = (i == j ? 8.0 : 0.0) + rng.uniform(-1.0, 1.0);
+  const LuDecomposition f(a);
+  ASSERT_FALSE(f.singular());
+
+  Matrix b(n, 4);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t c = 0; c < 4; ++c) b(i, c) = rng.uniform(-5.0, 5.0);
+
+  const Matrix x = f.solve(b);
+  for (std::size_t c = 0; c < 4; ++c) {
+    const Vector xc = f.solve(b.col(c));
+    for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x(i, c), xc[i]);
+  }
+}
+
 TEST(Lu, InverseDiagonalMatchesFullInverse) {
   ace::util::Rng rng(29);
   const Matrix a = random_matrix(rng, 6);
