@@ -2,18 +2,58 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <stdexcept>
 #include <unordered_set>
+
+#include "kriging/empirical_variogram.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
 namespace d = ace::dse;
+namespace k = ace::kriging;
 
 TEST(ConfigDistance, L1Basics) {
   EXPECT_EQ(d::l1_distance({1, 2, 3}, {1, 2, 3}), 0);
   EXPECT_EQ(d::l1_distance({0, 0}, {3, -4}), 7);
   EXPECT_EQ(d::l1_distance({10}, {7}), 3);
   EXPECT_THROW((void)d::l1_distance({1}, {1, 2}), std::invalid_argument);
+}
+
+TEST(ConfigDistance, L2Basics) {
+  EXPECT_EQ(d::l2_distance({1, 2, 3}, {1, 2, 3}), 0.0);
+  EXPECT_EQ(d::l2_distance({0, 0}, {3, -4}), 5.0);
+  EXPECT_EQ(d::l2_distance({10}, {7}), 3.0);
+  EXPECT_EQ(d::l2_distance({}, {}), 0.0);
+  EXPECT_THROW((void)d::l2_distance({1}, {1, 2}), std::invalid_argument);
+}
+
+// The store scans configs with the dse helpers while the kriging system
+// measures the same points as real vectors: both must give the same
+// distance bit for bit, so a radius admits exactly the points the
+// variogram is then evaluated at. Odd and even dimensions, negative and
+// large coordinates.
+TEST(ConfigDistance, MatchesRealValuedHelpersExactly) {
+  ace::util::Rng rng(17);
+  for (const std::size_t dim : {1u, 2u, 3u, 5u, 8u, 13u}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      d::Config a(dim), b(dim);
+      for (std::size_t i = 0; i < dim; ++i) {
+        a[i] = rng.uniform_int(-40, 40);
+        b[i] = rng.uniform_int(-40, 40);
+      }
+      const auto ra = d::to_real(a);
+      const auto rb = d::to_real(b);
+      EXPECT_EQ(static_cast<double>(d::l1_distance(a, b)),
+                k::l1_distance(ra, rb))
+          << "dim " << dim << " trial " << trial;
+      EXPECT_EQ(d::l2_distance(a, b), k::l2_distance(ra, rb))
+          << "dim " << dim << " trial " << trial;
+      EXPECT_EQ(d::l1_distance(a, b), d::l1_distance(b, a));
+      EXPECT_EQ(d::l2_distance(a, b), d::l2_distance(b, a));
+    }
+  }
 }
 
 TEST(ConfigToReal, ConvertsExactly) {

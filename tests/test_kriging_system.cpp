@@ -14,6 +14,7 @@
 #include <cmath>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kriging/system.hpp"
@@ -77,7 +78,8 @@ struct DenseSolve {
 /// support must be distinct and, for a linear drift, hold at least
 /// dim + 2 points.
 DenseSolve dense_reference(const k::SystemSpec& spec, const Instance& inst,
-                           const k::VariogramModel& model) {
+                           const k::VariogramModel& model,
+                           const k::DistanceFn& distance = k::l1_distance) {
   const bool simple = spec.kind == k::SystemKind::kSimple;
   const auto entry = [&](double d) {
     return simple ? std::max(spec.sill - model.gamma(d), 0.0)
@@ -99,13 +101,13 @@ DenseSolve dense_reference(const k::SystemSpec& spec, const Instance& inst,
   ace::linalg::Vector rhs(m);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j)
-      a(i, j) = entry(k::l1_distance(inst.points[i], inst.points[j]));
+      a(i, j) = entry(distance(inst.points[i], inst.points[j]));
     const std::vector<double> fi = basis(inst.points[i]);
     for (std::size_t l = 0; l < fi.size(); ++l) {
       a(i, n + l) = fi[l];
       a(n + l, i) = fi[l];
     }
-    rhs[i] = entry(k::l1_distance(inst.query, inst.points[i]));
+    rhs[i] = entry(distance(inst.query, inst.points[i]));
   }
   for (std::size_t l = 0; l < fq.size(); ++l) rhs[n + l] = fq[l];
 
@@ -134,11 +136,13 @@ DenseSolve dense_reference(const k::SystemSpec& spec, const Instance& inst,
   return out;
 }
 
-void expect_matches_reference(const k::SystemSpec& spec, const Instance& inst,
-                              const k::VariogramModel& model) {
-  k::KrigingSystem sys(spec, inst.points, inst.values, model);
+void expect_matches_reference(
+    const k::SystemSpec& spec, const Instance& inst,
+    const k::VariogramModel& model,
+    const k::DistanceFn& distance = k::l1_distance) {
+  k::KrigingSystem sys(spec, inst.points, inst.values, model, distance);
   const auto got = sys.query(inst.query);
-  const DenseSolve expect = dense_reference(spec, inst, model);
+  const DenseSolve expect = dense_reference(spec, inst, model, distance);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->regularized, expect.regularized);
   if (got->regularized || expect.regularized) return;
@@ -620,6 +624,54 @@ TEST(FactorReuse, QueryOrderDoesNotChangeAnswers) {
     back[i] = backward.query(c.queries[i]);
   for (std::size_t i = 0; i < c.queries.size(); ++i)
     expect_same_result(forward.query(c.queries[i]), back[i], i);
+}
+
+// The per-pair assembly is the only distance path: an L2 system must
+// match the dense reference assembled with l2_distance, for every
+// estimator kind, just as the L1 systems above do.
+TEST(KrigingAssembly, L2DistanceMatchesDenseReferenceSolve) {
+  const k::SphericalVariogram spherical(0.1, 2.0, 8.0);
+  const k::GaussianVariogram gaussian(0.05, 3.0, 7.0);
+  std::uint64_t seed = 300;
+  for (std::size_t dim = 1; dim <= 4; ++dim) {
+    for (std::size_t n = dim + 2; n <= 9; n += 3) {
+      const auto inst = make_instance(dim, n, ++seed);
+      for (const k::VariogramModel* model :
+           {static_cast<const k::VariogramModel*>(&spherical),
+            static_cast<const k::VariogramModel*>(&gaussian)})
+        for (const auto& spec : all_specs()) {
+          SCOPED_TRACE(::testing::Message()
+                       << "dim " << dim << " n " << n << " model "
+                       << model->name() << " kind "
+                       << static_cast<int>(spec.kind));
+          expect_matches_reference(spec, inst, *model, k::l2_distance);
+        }
+    }
+  }
+}
+
+// Built-in and user-supplied distances take the same assembly: a
+// DistanceFn that merely wraps l1_distance / l2_distance answers bit for
+// bit like the helper itself.
+TEST(KrigingAssembly, WrappedDistanceMatchesBuiltInBitExactly) {
+  const k::GaussianVariogram model(0.05, 3.0, 9.0);
+  const KrigingCase c = make_kriging_case(54, 10, 5, 8);
+  const k::DistanceFn wrapped_l1 = [](const std::vector<double>& a,
+                                      const std::vector<double>& b) {
+    return k::l1_distance(a, b);
+  };
+  const k::DistanceFn wrapped_l2 = [](const std::vector<double>& a,
+                                      const std::vector<double>& b) {
+    return k::l2_distance(a, b);
+  };
+  for (const auto& [builtin, wrapped] :
+       {std::pair{k::DistanceFn(k::l1_distance), wrapped_l1},
+        std::pair{k::DistanceFn(k::l2_distance), wrapped_l2}}) {
+    k::KrigingSystem a = make_system(c, model, builtin);
+    k::KrigingSystem b = make_system(c, model, wrapped);
+    for (std::size_t i = 0; i < c.queries.size(); ++i)
+      expect_same_result(a.query(c.queries[i]), b.query(c.queries[i]), i);
+  }
 }
 
 TEST(KrigingSystem, ValidatesInput) {
