@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark): the per-call costs behind the
 // paper's 10⁻⁶-second interpolation claim — the kriging solve as a
 // function of support size, neighbour search, variogram fitting, and the
-// bit-accurate simulation primitives it replaces. CI regenerates
+// bit-accurate simulations it replaces (FIR, FFT, HEVC). CI regenerates
 // BENCH_micro.json from this binary.
 #include <benchmark/benchmark.h>
 
@@ -20,6 +20,7 @@
 #include "signal/fir.hpp"
 #include "signal/generator.hpp"
 #include "util/rng.hpp"
+#include "video/hevc_mc.hpp"
 
 namespace {
 
@@ -155,6 +156,20 @@ void BM_QuantizedFft64(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QuantizedFft64);
+
+/// One HEVC simulation as the Table I DSE runs it: 24 motion-compensation
+/// jobs through the 23-site fixed-point kernel at a mid-range word length.
+void BM_HevcSimulation(benchmark::State& state) {
+  ace::util::Rng rng(7);
+  const auto jobs = ace::video::synthetic_jobs(rng, 24);
+  const ace::video::QuantizedMotionCompensation q(jobs);
+  const std::vector<int> w(ace::video::kMcSites, 10);
+  for (auto _ : state) {
+    auto out = q.interpolate(jobs, w);
+    benchmark::DoNotOptimize(out);
+  }
+}
+BENCHMARK(BM_HevcSimulation);
 
 }  // namespace
 

@@ -177,15 +177,8 @@ ApplicationBenchmark make_hevc_benchmark(const HevcBenchOptions& opt) {
   bench.min_plus_one =
       word_length_options(bench.nv, opt.lambda_min_db, opt.w_min, opt.w_max);
   bench.simulate = [state](const dse::Config& w) {
-    std::vector<double> approx;
-    approx.reserve(state->reference.size());
-    for (const auto& job : state->jobs) {
-      const auto block = state->quantized->interpolate(job, w);
-      for (std::size_t y = 0; y < video::kBlockSize; ++y)
-        for (std::size_t x = 0; x < video::kBlockSize; ++x)
-          approx.push_back(block.at(x, y));
-    }
-    return accuracy_db(approx, state->reference);
+    return accuracy_db(state->quantized->interpolate(state->jobs, w),
+                       state->reference);
   };
   return bench;
 }

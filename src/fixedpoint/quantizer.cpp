@@ -1,7 +1,5 @@
 #include "fixedpoint/quantizer.hpp"
 
-#include <cmath>
-
 namespace ace::fixedpoint {
 
 Quantizer::Quantizer(Format format, RoundingMode rounding,
@@ -14,31 +12,5 @@ Quantizer::Quantizer(Format format, RoundingMode rounding,
       min_(format.min_value()),
       max_(format.max_value()),
       span_(max_ - min_ + format.step()) {}
-
-double Quantizer::quantize(double x) const {
-  double scaled = x * inv_step_;
-  double grid;
-  switch (rounding_) {
-    case RoundingMode::kTruncate:
-      grid = std::floor(scaled);
-      break;
-    case RoundingMode::kRoundNearest:
-      grid = std::floor(scaled + 0.5);
-      break;
-    case RoundingMode::kRoundConvergent:
-    default:
-      // Half-to-even via nearbyint (FE_TONEAREST is the C++ default mode).
-      grid = std::nearbyint(scaled);
-      break;
-  }
-  double value = grid * step_;
-  if (value >= min_ && value <= max_) return value;
-  if (overflow_ == OverflowMode::kSaturate)
-    return value < min_ ? min_ : max_;
-  // Two's-complement wrap: shift into [min, min + span).
-  const double offset = value - min_;
-  const double wrapped = offset - span_ * std::floor(offset / span_);
-  return min_ + wrapped;
-}
 
 }  // namespace ace::fixedpoint

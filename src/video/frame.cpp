@@ -13,16 +13,8 @@ Frame::Frame(std::size_t width, std::size_t height, double fill)
     throw std::invalid_argument("Frame: dimensions must be positive");
 }
 
-double& Frame::at(std::size_t x, std::size_t y) {
-  if (x >= width_ || y >= height_)
-    throw std::out_of_range("Frame::at: out of range");
-  return data_[y * width_ + x];
-}
-
-double Frame::at(std::size_t x, std::size_t y) const {
-  if (x >= width_ || y >= height_)
-    throw std::out_of_range("Frame::at: out of range");
-  return data_[y * width_ + x];
+void Frame::throw_out_of_range() {
+  throw std::out_of_range("Frame::at: out of range");
 }
 
 Frame synthetic_patch(util::Rng& rng, std::size_t width, std::size_t height) {

@@ -17,11 +17,20 @@ class Frame {
   std::size_t width() const { return width_; }
   std::size_t height() const { return height_; }
 
-  /// Checked sample access; throws std::out_of_range.
-  double& at(std::size_t x, std::size_t y);
-  double at(std::size_t x, std::size_t y) const;
+  /// Checked sample access; throws std::out_of_range. Inline, with the
+  /// throw kept out of line, so the check costs one compare per access.
+  double& at(std::size_t x, std::size_t y) {
+    if (x >= width_ || y >= height_) throw_out_of_range();
+    return data_[y * width_ + x];
+  }
+  double at(std::size_t x, std::size_t y) const {
+    if (x >= width_ || y >= height_) throw_out_of_range();
+    return data_[y * width_ + x];
+  }
 
  private:
+  [[noreturn]] static void throw_out_of_range();
+
   std::size_t width_;
   std::size_t height_;
   std::vector<double> data_;

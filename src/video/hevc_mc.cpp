@@ -1,7 +1,6 @@
 #include "video/hevc_mc.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "fixedpoint/quantizer.hpp"
@@ -30,43 +29,52 @@ std::array<double, kTaps> normalized(const std::array<int, kTaps>& c) {
 /// Shared dataflow: `observe(site, value)` is called at every quantization
 /// site and must return the value to keep (identity for the reference,
 /// a quantizer for the fixed-point path, a range recorder for calibration).
+/// Writes the 8×8 block row-major to `out`.
 template <typename Observe>
-Frame run_mc(const McJob& job, Observe&& observe) {
+void run_mc(const McJob& job, Observe&& observe, double* out) {
   const auto& ch = luma_filter(job.frac_x);
   const auto& cv = luma_filter(job.frac_y);
 
+  // Pixel read (site 0), once per window sample. The horizontal taps read
+  // each sample up to eight times; every observer is pure (identity,
+  // quantizer) or records a running max (range tracker), so observing once
+  // and reusing the result changes no value and no calibration.
+  std::array<double, kWindow * kWindow> pixels;
+  for (std::size_t y = 0; y < kWindow; ++y)
+    for (std::size_t x = 0; x < kWindow; ++x)
+      pixels[y * kWindow + x] = observe(0, job.window.at(x, y));
+
   // Horizontal pass: kWindow rows of kBlockSize intermediate samples.
-  Frame interm(kBlockSize, kWindow);
+  std::array<double, kWindow * kBlockSize> interm;
   for (std::size_t y = 0; y < kWindow; ++y) {
     for (std::size_t x = 0; x < kBlockSize; ++x) {
+      const double* src = &pixels[y * kWindow + x];
       double acc = 0.0;
       for (std::size_t t = 0; t < kTaps; ++t) {
-        const double pixel = observe(0, job.window.at(x + t, y));
-        const double product = observe(1 + t, ch[t] * pixel);
+        const double product = observe(1 + t, ch[t] * src[t]);
         // Accumulator-entry quantization: addends on the site-9 grid keep
         // every partial sum on the grid (no per-addition re-rounding).
         acc += observe(9, product);
       }
-      interm.at(x, y) = observe(10, acc);
+      interm[y * kBlockSize + x] = observe(10, acc);
     }
   }
 
   // Vertical pass over the intermediate rows.
-  Frame out(kBlockSize, kBlockSize);
   for (std::size_t y = 0; y < kBlockSize; ++y) {
     for (std::size_t x = 0; x < kBlockSize; ++x) {
       double acc = 0.0;
       for (std::size_t t = 0; t < kTaps; ++t) {
-        const double product = observe(11 + t, cv[t] * interm.at(x, y + t));
+        const double product =
+            observe(11 + t, cv[t] * interm[(y + t) * kBlockSize + x]);
         acc += observe(19, product);
       }
       const double filtered = observe(20, acc);
       const double clipped =
           observe(21, std::clamp(filtered, 0.0, 255.0 / 256.0));
-      out.at(x, y) = observe(22, clipped);
+      out[y * kBlockSize + x] = observe(22, clipped);
     }
   }
-  return out;
 }
 
 }  // namespace
@@ -99,7 +107,13 @@ std::vector<McJob> synthetic_jobs(util::Rng& rng, std::size_t count) {
 }
 
 Frame interpolate_reference(const McJob& job) {
-  return run_mc(job, [](std::size_t, double v) { return v; });
+  std::array<double, kBlockSamples> block;
+  run_mc(job, [](std::size_t, double v) { return v; }, block.data());
+  Frame out(kBlockSize, kBlockSize);
+  for (std::size_t y = 0; y < kBlockSize; ++y)
+    for (std::size_t x = 0; x < kBlockSize; ++x)
+      out.at(x, y) = block[y * kBlockSize + x];
+  return out;
 }
 
 QuantizedMotionCompensation::QuantizedMotionCompensation(
@@ -108,15 +122,17 @@ QuantizedMotionCompensation::QuantizedMotionCompensation(
     throw std::invalid_argument(
         "QuantizedMotionCompensation: empty calibration set");
   fixedpoint::RangeTracker tracker(kMcSites);
+  std::array<double, kBlockSamples> block;
   for (const auto& job : calibration)
-    run_mc(job, [&](std::size_t site, double v) {
-      return tracker.observe(site, v);
-    });
+    run_mc(
+        job,
+        [&](std::size_t site, double v) { return tracker.observe(site, v); },
+        block.data());
   site_iwl_ = tracker.all_integer_bits(margin_bits);
 }
 
-Frame QuantizedMotionCompensation::interpolate(const McJob& job,
-                                               const std::vector<int>& w) const {
+std::vector<double> QuantizedMotionCompensation::interpolate(
+    const std::vector<McJob>& jobs, const std::vector<int>& w) const {
   if (w.size() != kVariables)
     throw std::invalid_argument(
         "QuantizedMotionCompensation: wrong word-length count");
@@ -130,8 +146,11 @@ Frame QuantizedMotionCompensation::interpolate(const McJob& job,
   for (std::size_t s = 0; s < kMcSites; ++s)
     q.emplace_back(fixedpoint::Format::with_clamped_integer_bits(w[s], site_iwl_[s]));
 
-  return run_mc(job,
-                [&](std::size_t site, double v) { return q[site](v); });
+  std::vector<double> out(jobs.size() * kBlockSamples);
+  for (std::size_t j = 0; j < jobs.size(); ++j)
+    run_mc(jobs[j], [&](std::size_t site, double v) { return q[site](v); },
+           out.data() + j * kBlockSamples);
+  return out;
 }
 
 }  // namespace ace::video

@@ -26,6 +26,7 @@
 namespace ace::video {
 
 inline constexpr std::size_t kBlockSize = 8;
+inline constexpr std::size_t kBlockSamples = kBlockSize * kBlockSize;
 inline constexpr std::size_t kTaps = 8;
 /// Source window needed for an 8×8 block with 8-tap filters.
 inline constexpr std::size_t kWindow = kBlockSize + kTaps - 1;
@@ -59,8 +60,12 @@ class QuantizedMotionCompensation {
   explicit QuantizedMotionCompensation(const std::vector<McJob>& calibration,
                                        int margin_bits = 1);
 
-  /// Interpolate with word lengths w (size 23, each in [2, 52]).
-  Frame interpolate(const McJob& job, const std::vector<int>& w) const;
+  /// Interpolate every job with word lengths w (size 23, each in [2, 52]).
+  /// The quantizers are built once for the whole set. Returns the samples
+  /// flat: job after job, each 8×8 block row-major (index
+  /// job·64 + y·8 + x). Throws std::invalid_argument on a bad w.
+  std::vector<double> interpolate(const std::vector<McJob>& jobs,
+                                  const std::vector<int>& w) const;
 
   const std::vector<int>& site_integer_bits() const { return site_iwl_; }
 

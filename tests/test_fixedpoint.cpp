@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <ios>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -16,6 +20,38 @@ using ace::fixedpoint::OverflowMode;
 using ace::fixedpoint::Quantizer;
 using ace::fixedpoint::RangeTracker;
 using ace::fixedpoint::RoundingMode;
+using ace::fixedpoint::round_half_even;
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// The quantizer as it was when it called libm out of line: the inline
+/// version must agree with it bit for bit in every mode.
+double reference_quantize(const Format& f, RoundingMode rounding,
+                          OverflowMode overflow, double x) {
+  const double step = f.step();
+  const double scaled = x * (1.0 / step);
+  double grid;
+  switch (rounding) {
+    case RoundingMode::kTruncate:
+      grid = std::floor(scaled);
+      break;
+    case RoundingMode::kRoundNearest:
+      grid = std::floor(scaled + 0.5);
+      break;
+    case RoundingMode::kRoundConvergent:
+    default:
+      grid = std::nearbyint(scaled);
+      break;
+  }
+  const double min = f.min_value();
+  const double max = f.max_value();
+  const double value = grid * step;
+  if (value >= min && value <= max) return value;
+  if (overflow == OverflowMode::kSaturate) return value < min ? min : max;
+  const double span = max - min + step;
+  const double offset = value - min;
+  return min + (offset - span * std::floor(offset / span));
+}
 
 TEST(Format, ConstructionValidation) {
   EXPECT_THROW(Format(1, 0), std::invalid_argument);
@@ -105,6 +141,88 @@ TEST(Quantizer, ErrorBoundedByStep) {
     const double terr = x - qt(x);
     EXPECT_GE(terr, -1e-15);
     EXPECT_LT(terr, f.step() + 1e-15);
+  }
+}
+
+TEST(RoundHalfEven, MatchesNearbyintOnEdgeCases) {
+  constexpr double kTwo52 = 0x1p52;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double below = std::nextafter(kTwo52, 0.0);
+  const std::vector<double> cases = {
+      0.0, 0.3, 0.5, 0.7, 1.0, 1.5, 2.5, 3.5, -2.5,
+      std::nextafter(0.5, 0.0),  // Largest double below one half.
+      std::nextafter(0.5, 1.0), 1e-310,  // Subnormal.
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      0x1p51 + 0.5, 0x1p51 + 1.5,  // Ties at the last fractional bit.
+      below - 0.5, below - 1.5, below, kTwo52 - 0.5,
+      kTwo52, kTwo52 + 1.0, 0x1p53, 1e300,
+      std::numeric_limits<double>::max(), kInf};
+  for (double c : cases)
+    for (double x : {c, -c})
+      EXPECT_EQ(bits(round_half_even(x)), bits(std::nearbyint(x)))
+          << std::hexfloat << x;
+}
+
+TEST(RoundHalfEven, KeepsSignedZero) {
+  EXPECT_TRUE(std::signbit(round_half_even(-0.0)));
+  EXPECT_TRUE(std::signbit(round_half_even(-0.3)));
+  EXPECT_TRUE(std::signbit(round_half_even(-0.5)));
+  EXPECT_FALSE(std::signbit(round_half_even(0.0)));
+  EXPECT_FALSE(std::signbit(round_half_even(0.5)));
+}
+
+TEST(RoundHalfEven, NanStaysNan) {
+  EXPECT_TRUE(std::isnan(
+      round_half_even(std::numeric_limits<double>::quiet_NaN())));
+  EXPECT_TRUE(std::isnan(
+      round_half_even(-std::numeric_limits<double>::quiet_NaN())));
+}
+
+TEST(RoundHalfEven, MatchesNearbyintAcrossMagnitudes) {
+  ace::util::Rng rng(52);
+  for (int e = -60; e <= 60; ++e) {
+    for (int i = 0; i < 200; ++i) {
+      const double x = std::ldexp(rng.uniform(-1.0, 1.0), e);
+      ASSERT_EQ(bits(round_half_even(x)), bits(std::nearbyint(x)))
+          << std::hexfloat << x;
+      // Exact ties k + 1/2, where the two roundings differ most easily.
+      const double tie = std::floor(x) + 0.5;
+      ASSERT_EQ(bits(round_half_even(tie)), bits(std::nearbyint(tie)))
+          << std::hexfloat << tie;
+    }
+  }
+}
+
+/// Every rounding and overflow mode against the out-of-line reference, on
+/// random values spanning three times the range, on grid ties and on ±0.
+TEST(Quantizer, MatchesReferenceInEveryMode) {
+  ace::util::Rng rng(2052);
+  for (int w : {2, 3, 5, 8, 12, 16, 24, 36, 52}) {
+    for (int iwl : {0, 1, 3, 7}) {
+      if (iwl > w - 1) continue;
+      const Format f(w, iwl);
+      const double reach = 3.0 * std::ldexp(1.0, iwl);
+      std::vector<double> xs = {0.0, -0.0, f.min_value(), f.max_value()};
+      for (int i = 0; i < 300; ++i) {
+        const double x = rng.uniform(-reach, reach);
+        xs.push_back(x);
+        xs.push_back((std::floor(x / f.step()) + 0.5) * f.step());
+      }
+      for (auto rounding : {RoundingMode::kTruncate,
+                            RoundingMode::kRoundNearest,
+                            RoundingMode::kRoundConvergent}) {
+        for (auto overflow : {OverflowMode::kSaturate, OverflowMode::kWrap}) {
+          const Quantizer q{f, rounding, overflow};
+          for (double x : xs)
+            ASSERT_EQ(bits(q(x)),
+                      bits(reference_quantize(f, rounding, overflow, x)))
+                << f.to_string() << " mode " << static_cast<int>(rounding)
+                << "/" << static_cast<int>(overflow) << " x "
+                << std::hexfloat << x;
+        }
+      }
+    }
   }
 }
 

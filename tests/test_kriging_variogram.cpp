@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "util/contract.hpp"
 
@@ -75,17 +77,31 @@ TEST(PowerVariogram, ExponentBounds) {
   EXPECT_NO_THROW(k::PowerVariogram(0.0, 1.0, 1.99));
 }
 
+/// A model under test. gtest would print the shared_ptr's heap address,
+/// and ctest names the discovered tests after that printout; PrintTo gives
+/// it the model's description instead.
+struct ModelCase {
+  std::shared_ptr<k::VariogramModel> model;
+};
+
+void PrintTo(const ModelCase& c, std::ostream* os) {
+  *os << c.model->describe();
+}
+
+std::string model_name(const ::testing::TestParamInfo<ModelCase>& info) {
+  return info.param.model->name() + "_" + std::to_string(info.index);
+}
+
 /// Properties common to every model: γ(0) = 0, non-negative, monotone
 /// non-decreasing over distance, clone() preserves behaviour.
-class VariogramPropertyTest
-    : public ::testing::TestWithParam<std::shared_ptr<k::VariogramModel>> {};
+class VariogramPropertyTest : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(VariogramPropertyTest, ZeroAtOrigin) {
-  EXPECT_DOUBLE_EQ(GetParam()->gamma(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(GetParam().model->gamma(0.0), 0.0);
 }
 
 TEST_P(VariogramPropertyTest, NonNegativeAndMonotone) {
-  const auto& v = *GetParam();
+  const auto& v = *GetParam().model;
   double prev = v.gamma(0.0);
   for (double d = 0.25; d <= 20.0; d += 0.25) {
     const double g = v.gamma(d);
@@ -96,7 +112,7 @@ TEST_P(VariogramPropertyTest, NonNegativeAndMonotone) {
 }
 
 TEST_P(VariogramPropertyTest, CloneMatchesOriginal) {
-  const auto& v = *GetParam();
+  const auto& v = *GetParam().model;
   const auto copy = v.clone();
   EXPECT_EQ(copy->name(), v.name());
   for (double d : {0.0, 0.5, 1.0, 3.0, 7.5, 19.0})
@@ -104,20 +120,21 @@ TEST_P(VariogramPropertyTest, CloneMatchesOriginal) {
 }
 
 TEST_P(VariogramPropertyTest, DescribeMentionsFamily) {
-  const auto& v = *GetParam();
+  const auto& v = *GetParam().model;
   EXPECT_NE(v.describe().find(v.name()), std::string::npos);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllModels, VariogramPropertyTest,
     ::testing::Values(
-        std::make_shared<k::LinearVariogram>(0.2, 1.3),
-        std::make_shared<k::LinearVariogram>(0.0, 0.0),
-        std::make_shared<k::SphericalVariogram>(0.1, 2.0, 5.0),
-        std::make_shared<k::SphericalVariogram>(0.0, 1.0, 0.5),
-        std::make_shared<k::ExponentialVariogram>(0.3, 4.0, 3.0),
-        std::make_shared<k::GaussianVariogram>(0.05, 1.5, 6.0),
-        std::make_shared<k::PowerVariogram>(0.0, 0.8, 0.5),
-        std::make_shared<k::PowerVariogram>(0.1, 1.2, 1.5)));
+        ModelCase{std::make_shared<k::LinearVariogram>(0.2, 1.3)},
+        ModelCase{std::make_shared<k::LinearVariogram>(0.0, 0.0)},
+        ModelCase{std::make_shared<k::SphericalVariogram>(0.1, 2.0, 5.0)},
+        ModelCase{std::make_shared<k::SphericalVariogram>(0.0, 1.0, 0.5)},
+        ModelCase{std::make_shared<k::ExponentialVariogram>(0.3, 4.0, 3.0)},
+        ModelCase{std::make_shared<k::GaussianVariogram>(0.05, 1.5, 6.0)},
+        ModelCase{std::make_shared<k::PowerVariogram>(0.0, 0.8, 0.5)},
+        ModelCase{std::make_shared<k::PowerVariogram>(0.1, 1.2, 1.5)}),
+    model_name);
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
+#include <string>
 
 #include "dse/kriging_policy.hpp"
 #include "util/rng.hpp"
@@ -19,6 +21,20 @@ struct Scenario {
   std::size_t nn_min;
   std::uint64_t seed;
 };
+
+/// gtest would print the struct's raw bytes, padding included, and ctest
+/// names the discovered tests after that printout; print the fields.
+void PrintTo(const Scenario& s, std::ostream* os) {
+  *os << "dim=" << s.dimensions << " L" << s.distance
+      << " nn_min=" << s.nn_min << " seed=" << s.seed;
+}
+
+std::string scenario_name(const ::testing::TestParamInfo<Scenario>& info) {
+  const Scenario& s = info.param;
+  return "dim" + std::to_string(s.dimensions) + "_L" +
+         std::to_string(s.distance) + "_nn" + std::to_string(s.nn_min) +
+         "_seed" + std::to_string(s.seed);
+}
 
 class PolicyInvariantTest : public ::testing::TestWithParam<Scenario> {};
 
@@ -119,6 +135,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Scenario{3, 3, 1, 1003}, Scenario{3, 3, 2, 1004},
                       Scenario{5, 2, 1, 1005}, Scenario{5, 4, 2, 1006},
                       Scenario{8, 3, 1, 1007}, Scenario{10, 2, 1, 1008},
-                      Scenario{10, 5, 3, 1009}, Scenario{23, 3, 1, 1010}));
+                      Scenario{10, 5, 3, 1009}, Scenario{23, 3, 1, 1010}),
+    scenario_name);
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "metrics/noise_power.hpp"
 #include "util/rng.hpp"
@@ -12,6 +13,12 @@
 namespace {
 
 namespace v = ace::video;
+
+/// Index of sample (x, y) of job j in QuantizedMotionCompensation's flat
+/// output.
+std::size_t sample(std::size_t j, std::size_t x, std::size_t y) {
+  return j * v::kBlockSamples + y * v::kBlockSize + x;
+}
 
 TEST(Frame, AccessAndValidation) {
   EXPECT_THROW(v::Frame(0, 4), std::invalid_argument);
@@ -23,6 +30,9 @@ TEST(Frame, AccessAndValidation) {
   EXPECT_DOUBLE_EQ(f.at(0, 0), 0.75);
   EXPECT_THROW((void)f.at(3, 0), std::out_of_range);
   EXPECT_THROW((void)f.at(0, 2), std::out_of_range);
+  const v::Frame& cf = f;
+  EXPECT_THROW((void)cf.at(3, 0), std::out_of_range);
+  EXPECT_THROW((void)cf.at(0, 2), std::out_of_range);
 }
 
 TEST(SyntheticPatch, ValuesOn8BitGrid) {
@@ -127,9 +137,11 @@ TEST(QuantizedMc, ValidationAndSiteCount) {
   const v::QuantizedMotionCompensation q(jobs);
   EXPECT_EQ(q.site_integer_bits().size(), v::kMcSites);
   EXPECT_THROW(v::QuantizedMotionCompensation({}), std::invalid_argument);
-  EXPECT_THROW((void)q.interpolate(jobs[0], std::vector<int>(10, 12)),
+  EXPECT_THROW((void)q.interpolate(jobs, std::vector<int>(10, 12)),
                std::invalid_argument);
-  EXPECT_THROW((void)q.interpolate(jobs[0], std::vector<int>(23, 1)),
+  EXPECT_THROW((void)q.interpolate(jobs, std::vector<int>(23, 1)),
+               std::invalid_argument);
+  EXPECT_THROW((void)q.interpolate(jobs, std::vector<int>(23, 53)),
                std::invalid_argument);
 }
 
@@ -137,13 +149,13 @@ TEST(QuantizedMc, WideWordsConvergeToReference) {
   ace::util::Rng rng(24);
   const auto jobs = v::synthetic_jobs(rng, 4);
   const v::QuantizedMotionCompensation q(jobs);
-  const std::vector<int> wide(v::kMcSites, 36);
-  for (const auto& job : jobs) {
-    const auto ref = v::interpolate_reference(job);
-    const auto approx = q.interpolate(job, wide);
+  const auto approx = q.interpolate(jobs, std::vector<int>(v::kMcSites, 36));
+  ASSERT_EQ(approx.size(), jobs.size() * v::kBlockSamples);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const auto ref = v::interpolate_reference(jobs[j]);
     for (std::size_t y = 0; y < v::kBlockSize; ++y)
       for (std::size_t x = 0; x < v::kBlockSize; ++x)
-        EXPECT_NEAR(approx.at(x, y), ref.at(x, y), 1e-8);
+        EXPECT_NEAR(approx[sample(j, x, y)], ref.at(x, y), 1e-8);
   }
 }
 
@@ -154,18 +166,15 @@ TEST_P(McMonotoneTest, NoiseShrinksWithWiderWords) {
   ace::util::Rng rng(25);
   const auto jobs = v::synthetic_jobs(rng, 6);
   const v::QuantizedMotionCompensation q(jobs);
+  std::vector<double> ref;
+  for (const auto& job : jobs) {
+    const auto r = v::interpolate_reference(job);
+    for (std::size_t y = 0; y < v::kBlockSize; ++y)
+      for (std::size_t x = 0; x < v::kBlockSize; ++x) ref.push_back(r.at(x, y));
+  }
   auto total_power = [&](int width) {
-    std::vector<double> approx, ref;
-    for (const auto& job : jobs) {
-      const auto a = q.interpolate(job, std::vector<int>(v::kMcSites, width));
-      const auto r = v::interpolate_reference(job);
-      for (std::size_t y = 0; y < v::kBlockSize; ++y)
-        for (std::size_t x = 0; x < v::kBlockSize; ++x) {
-          approx.push_back(a.at(x, y));
-          ref.push_back(r.at(x, y));
-        }
-    }
-    return ace::metrics::noise_power(approx, ref);
+    return ace::metrics::noise_power(
+        q.interpolate(jobs, std::vector<int>(v::kMcSites, width)), ref);
   };
   EXPECT_LT(total_power(w + 4), total_power(w));
 }
@@ -178,11 +187,13 @@ TEST(QuantizedMc, Deterministic) {
   const auto jobs = v::synthetic_jobs(rng, 2);
   const v::QuantizedMotionCompensation q(jobs);
   const std::vector<int> w(v::kMcSites, 10);
-  const auto a = q.interpolate(jobs[0], w);
-  const auto b = q.interpolate(jobs[0], w);
-  for (std::size_t y = 0; y < v::kBlockSize; ++y)
-    for (std::size_t x = 0; x < v::kBlockSize; ++x)
-      EXPECT_EQ(a.at(x, y), b.at(x, y));
+  const auto a = q.interpolate(jobs, w);
+  const auto b = q.interpolate(jobs, w);
+  EXPECT_EQ(a, b);
+  // A job's block does not depend on the jobs around it.
+  const auto second = q.interpolate({jobs[1]}, w);
+  for (std::size_t i = 0; i < second.size(); ++i)
+    EXPECT_EQ(second[i], a[sample(1, 0, 0) + i]);
 }
 
 }  // namespace

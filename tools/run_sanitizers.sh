@@ -2,10 +2,11 @@
 # Sanitized verification flow for the fault-tolerant evaluation subsystem.
 #
 # Builds the ASan+UBSan and TSan trees (CMakePresets: asan / tsan) and runs
-# the dse / kriging / dist / util test subset under each. TSan specifically
-# covers the concurrent surfaces: evaluate_batch on a pool, the collecting
-# thread pool, the fault-injection counters, and the coordinator/worker
-# reader threads plus the chaos-injected transports.
+# the dse / kriging / dist / serve / util test subset under each; the ASan
+# run adds the fixed-point, signal, video and benchmark-golden tests. TSan
+# specifically covers the concurrent surfaces: evaluate_batch on a pool,
+# the collecting thread pool, the fault-injection counters, and the
+# coordinator/worker reader threads plus the chaos-injected transports.
 #
 # Usage: tools/run_sanitizers.sh [address|thread|all]   (default: all)
 set -euo pipefail
@@ -30,6 +31,20 @@ run_flavour() {
     echo "--- $bin"
     "$bin" --gtest_brief=1
   done
+  if [ "$preset" = asan ]; then
+    # The simulators are single-threaded, so TSan has nothing to find in
+    # them; ASan+UBSan covers the inline quantizer, the HEVC kernel's local
+    # sample buffers and the golden-λ tests.
+    echo "=== [$preset] fixedpoint/signal/video/benchmark test subset ==="
+    for bin in "build-$preset"/tests/test_fixedpoint \
+               "build-$preset"/tests/test_video* \
+               "build-$preset"/tests/test_signal_* \
+               "build-$preset"/tests/test_core_benchmarks; do
+      [ -x "$bin" ] || continue
+      echo "--- $bin"
+      "$bin" --gtest_brief=1
+    done
+  fi
   if [ "$preset" = tsan ]; then
     # The park/resume lock scopes race by design; one pass rarely meets
     # every interleaving, so TSan sees the stress tests ten times.
