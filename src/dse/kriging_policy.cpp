@@ -94,7 +94,8 @@ bool KrigingPolicy::refit_model() {
   return refit_model_locked();
 }
 
-bool KrigingPolicy::refit_model_locked() {
+bool KrigingPolicy::refit_model_locked(
+    std::shared_ptr<const kriging::VariogramModel> fitted) {
   // Record the attempt for checkpoint replay: re-running the same attempts
   // at the same store sizes against the rebuilt store reproduces the model,
   // trend and refit clocks exactly (store values are immutable once added
@@ -146,7 +147,8 @@ bool KrigingPolicy::refit_model_locked() {
     ++stats_.failed_refits;
     return false;
   }
-  model_ = kriging::fit_best(*variogram, options_.fit).model;
+  model_ = fitted ? std::move(fitted)
+                 : kriging::fit_best(*variogram, options_.fit).model;
   sill_estimate_ = variogram->value_variance();
   sims_at_last_fit_ = store_.size();
   ++stats_.refits;
@@ -390,6 +392,7 @@ PolicySnapshot KrigingPolicy::snapshot() const {
   snap.quarantine = store_.quarantine_log();
   snap.fit_events = fit_events_;
   snap.stats = stats_;
+  snap.model = model_;
   return snap;
 }
 
@@ -403,11 +406,19 @@ void KrigingPolicy::restore(const PolicySnapshot& snapshot) {
     throw std::invalid_argument(
         "KrigingPolicy::restore: configs/values size mismatch");
 
-  // Replay: grow the store in insertion order and re-run each recorded fit
-  // attempt at the store size it originally happened at. The empirical
+  // Replay: grow the store in insertion order and re-run recorded fit
+  // attempts at the store sizes they originally happened at. The empirical
   // variogram folds pairs in the same order as the original run, the fit
   // sees the same bins, and the refit clocks land on the same values — so
   // every subsequent evaluation behaves bit-identically.
+  // Only the last attempt has to run, unless the gate calibrates on LOO
+  // passes (each refit's pass then feeds gate state): every other effect
+  // of an attempt is overwritten by a later one. The variogram folds one
+  // sample at a time, so extending it once by every new sample gives the
+  // bins the attempt-by-attempt extends gave. And bins are never removed
+  // as the store grows, so the last attempt fails only if every attempt
+  // failed, and otherwise its model is the snapshot's: when the snapshot
+  // carries that model, the last attempt adopts it instead of refitting.
   // Quarantine events replay *before* the adds. In the original run a
   // configuration appearing in both lists was necessarily quarantined
   // first and added cleanly later (a stored configuration is served from
@@ -416,12 +427,17 @@ void KrigingPolicy::restore(const PolicySnapshot& snapshot) {
   // run did, leaving the log entry for audit.
   for (const auto& [config, code] : snapshot.quarantine)
     (void)store_.quarantine(config, code);
+  const std::size_t events = snapshot.fit_events.size();
+  const bool replay_every_fit = gate_->wants_loo();
   std::size_t next_event = 0;
   const auto replay_fits = [&] {
-    while (next_event < snapshot.fit_events.size() &&
+    while (next_event < events &&
            snapshot.fit_events[next_event] == store_.size()) {
       ++next_event;
-      (void)refit_model_locked();
+      if (next_event == events)
+        (void)refit_model_locked(snapshot.model);
+      else if (replay_every_fit)
+        (void)refit_model_locked();
     }
   };
   replay_fits();

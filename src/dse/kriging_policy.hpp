@@ -220,6 +220,12 @@ struct PolicySnapshot {
   std::vector<std::pair<Config, FaultCode>> quarantine;
   std::vector<std::size_t> fit_events;  ///< store size at each refit call.
   PolicyStats stats;
+  /// The fitted model at snapshot time (null before the first successful
+  /// fit). In memory only — the checkpoint text does not carry it, and a
+  /// snapshot without it restores the same model by refitting. restore()
+  /// adopts it as the result of the last recorded fit instead of running
+  /// that fit again.
+  std::shared_ptr<const kriging::VariogramModel> model;
 };
 
 /// The policy object: owns the simulated-configuration store and the
@@ -309,9 +315,11 @@ class KrigingPolicy {
   /// Rebuild this policy from a snapshot. Must be called on a freshly
   /// constructed policy (same options as the snapshotting one); throws
   /// std::logic_error otherwise. Restoring replays the store in insertion
-  /// order and re-runs the recorded fit attempts, so the fitted model,
-  /// trend, variogram bins and refit clocks all match the snapshotted
-  /// policy bit-for-bit.
+  /// order and re-runs the recorded fit attempts that shape the final
+  /// state — only the last one, unless the gate calibrates on every
+  /// refit's LOO pass — so the fitted model, trend, variogram bins, gate
+  /// calibration and refit clocks all match the snapshotted policy
+  /// bit-for-bit. A snapshot that carries its model skips that last fit.
   void restore(const PolicySnapshot& snapshot) ACE_EXCLUDES(mutex_);
 
   /// Bump the checkpoints_written counter (called by the dse::checkpoint
@@ -337,7 +345,12 @@ class KrigingPolicy {
 
  private:
   /// Lock-held body of refit_model() (also the restore replay step).
-  bool refit_model_locked() ACE_REQUIRES(mutex_);
+  /// `fitted`, when given, is adopted as this attempt's fit instead of
+  /// running kriging::fit_best (restore passes the snapshotted model,
+  /// which is exactly that fit).
+  bool refit_model_locked(
+      std::shared_ptr<const kriging::VariogramModel> fitted = nullptr)
+      ACE_REQUIRES(mutex_);
 
   /// Refit-time LOO-CV pass over the windowed store (gates that
   /// want_loo() only): computes every leave-one-out residual from one

@@ -22,9 +22,9 @@
 // dse::PolicySnapshot in memory and frees the live policy; the
 // cursors never leave the session. Resuming restores a fresh policy from
 // that snapshot by replay, bit-identically (the same restore a
-// dse/checkpoint file goes through, minus the text codec: a parked
-// snapshot can always be written as a checkpoint, and restores the same
-// either way). An LRU cap on resident policies bounds memory: thousands
+// dse/checkpoint file goes through, minus the text codec and plus the
+// fitted model, which the text does not carry: a parked snapshot can
+// always be written as a checkpoint, and restores the same either way). An LRU cap on resident policies bounds memory: thousands
 // of sessions fit in a process with only `resident_capacity` stores live.
 #pragma once
 

@@ -436,6 +436,104 @@ TEST(Checkpoint, InMemorySnapshotRestoresLikeTextRoundTrip) {
   }
 }
 
+// A resumed policy's model is the snapshotted one: in memory the snapshot
+// carries it and restore adopts that very object; without it (the text
+// path) restore refits, and the refit is the same model bit for bit.
+TEST(PolicySnapshot, RestoreAdoptsTheCarriedModel) {
+  std::vector<d::Config> work;
+  for (int x = 0; x < 8; ++x)
+    for (int y = 0; y < 8; ++y) work.push_back({(x * 3 + y) % 8, y});
+  d::KrigingPolicy original(kriging_options());
+  for (const d::Config& c : work) (void)original.evaluate(c, smooth);
+  ASSERT_GT(original.stats().refits, 1u);
+
+  d::PolicySnapshot snapshot = original.snapshot();
+  ASSERT_NE(snapshot.model, nullptr);
+  EXPECT_EQ(snapshot.model, original.model());
+  d::KrigingPolicy carried(kriging_options());
+  carried.restore(snapshot);
+  EXPECT_EQ(carried.model(), original.model());
+
+  snapshot.model.reset();
+  d::KrigingPolicy refitted(kriging_options());
+  refitted.restore(snapshot);
+  const auto model = refitted.model();
+  ASSERT_NE(model, nullptr);
+  EXPECT_NE(model, original.model());
+  EXPECT_EQ(model->describe(), original.model()->describe());
+  for (double h = 0.0; h <= 8.0; h += 0.5)
+    EXPECT_EQ(model->gamma(h), original.model()->gamma(h)) << "h = " << h;
+}
+
+// Restore replays only the last recorded fit attempt (every attempt when
+// the gate calibrates on LOO passes). Snapshot after every evaluation of a
+// run with many refits, restore with and without the carried model, and
+// the rebuilt policy must match the live one — model, trend, calibration,
+// statistics and the next evaluation — for each estimator variant.
+TEST(PolicySnapshot, RestoreAfterEveryEvaluationMatchesLivePolicy) {
+  std::vector<d::Config> work;
+  for (int x = 0; x < 8; ++x)
+    for (int y = 0; y < 8; ++y) work.push_back({(x * 3 + y) % 8, y});
+  // A tight neighbourhood and a short refit period: the run simulates
+  // often and records several fits.
+  d::PolicyOptions base = kriging_options();
+  base.distance = 2;
+  base.nn_min = 4;
+  base.refit_period = 2;
+
+  struct Variant {
+    const char* name;
+    d::PolicyOptions options;
+  };
+  std::vector<Variant> variants;
+  variants.push_back({"constant drift", base});
+  variants.push_back({"linear drift", base});
+  variants.back().options.drift = ace::kriging::DriftKind::kLinear;
+  variants.push_back({"nugget from fit, L2", base});
+  variants.back().options.nugget_from_fit = true;
+  variants.back().options.use_l2_distance = true;
+  variants.push_back({"LOO gate", base});
+  variants.back().options.gate = d::GateKind::kLooCalibrated;
+
+  const auto same_model = [](const d::KrigingPolicy& a,
+                             const d::KrigingPolicy& b) {
+    const auto ma = a.model();
+    const auto mb = b.model();
+    if (ma == nullptr || mb == nullptr) return ma == mb;
+    if (ma->describe() != mb->describe()) return false;
+    for (double h = 0.0; h <= 8.0; h += 0.5)
+      if (ma->gamma(h) != mb->gamma(h)) return false;
+    return true;
+  };
+
+  for (const Variant& variant : variants) {
+    SCOPED_TRACE(variant.name);
+    d::KrigingPolicy live(variant.options);
+    (void)live.evaluate(work.front(), smooth);
+    for (std::size_t i = 1; i < work.size(); ++i) {
+      const d::PolicySnapshot snapshot = live.snapshot();
+      std::vector<d::EvalOutcome> continued;
+      for (const bool carry : {true, false}) {
+        SCOPED_TRACE(carry ? "carried model" : "refitted model");
+        d::PolicySnapshot copy = snapshot;
+        if (!carry) copy.model.reset();
+        d::KrigingPolicy resumed(variant.options);
+        resumed.restore(copy);
+        ASSERT_TRUE(same_model(resumed, live)) << "before item " << i;
+        EXPECT_EQ(resumed.trend(), live.trend());
+        EXPECT_EQ(resumed.gate_calibration(), live.gate_calibration());
+        EXPECT_TRUE(resumed.stats() == live.stats());
+        continued.push_back(resumed.evaluate(work[i], smooth));
+      }
+      const d::EvalOutcome expected = live.evaluate(work[i], smooth);
+      for (const d::EvalOutcome& outcome : continued)
+        EXPECT_EQ(outcome, expected) << "item " << i;
+    }
+    EXPECT_GT(live.stats().refits, 3u);
+    EXPECT_GT(live.stats().interpolated, 0u);
+  }
+}
+
 TEST(PolicySnapshot, RestoreRequiresFreshPolicy) {
   d::KrigingPolicy used(kriging_options());
   (void)used.evaluate({1, 1}, smooth);
