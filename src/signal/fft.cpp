@@ -39,10 +39,22 @@ std::complex<double> twiddle(std::size_t k, std::size_t span) {
   return {std::cos(angle), std::sin(angle)};
 }
 
-/// Shared DIT stage loop; Hook is called as hook(stage, product, sum) and
-/// must return the (possibly quantized) values to keep. Inlined per caller.
+/// Stage-major twiddle table for an n-point transform: entry span − 1 + k
+/// holds twiddle(k, span) for span = 1, 2, …, n/2 (n − 1 entries in all).
+std::vector<std::complex<double>> twiddle_table(std::size_t n) {
+  std::vector<std::complex<double>> table;
+  table.reserve(n - 1);
+  for (std::size_t span = 1; span < n; span <<= 1)
+    for (std::size_t k = 0; k < span; ++k) table.push_back(twiddle(k, span));
+  return table;
+}
+
+/// Shared DIT stage loop over a twiddle_table(data.size()); the hooks are
+/// called as hook(stage, value) and must return the (possibly quantized)
+/// value to keep. Inlined per caller.
 template <typename ProductHook, typename SumHook>
 void dit_transform(std::vector<std::complex<double>>& data,
+                   const std::vector<std::complex<double>>& twiddles,
                    ProductHook&& on_product, SumHook&& on_sum) {
   const std::size_t n = data.size();
   bit_reverse_permute(data);
@@ -50,9 +62,9 @@ void dit_transform(std::vector<std::complex<double>>& data,
   for (std::size_t span = 1; span < n; span <<= 1, ++stage) {
     // The butterflies of one stage touch disjoint pairs and every hook is
     // pure or records a running max, so walking them twiddle-major (one
-    // cos/sin per twiddle per stage, not per block) changes no value.
+    // table read per twiddle per stage, not per block) changes no value.
     for (std::size_t k = 0; k < span; ++k) {
-      const std::complex<double> w = twiddle(k, span);
+      const std::complex<double> w = twiddles[span - 1 + k];
       for (std::size_t block = 0; block < n; block += span << 1) {
         const std::size_t top = block + k;
         const std::size_t bot = top + span;
@@ -70,7 +82,8 @@ void fft(std::vector<std::complex<double>>& data) {
   if (!is_power_of_two(data.size()))
     throw std::invalid_argument("fft: size must be a power of two >= 2");
   dit_transform(
-      data, [](std::size_t, std::complex<double> p) { return p; },
+      data, twiddle_table(data.size()),
+      [](std::size_t, std::complex<double> p) { return p; },
       [](std::size_t, std::complex<double> s) { return s; });
 }
 
@@ -92,6 +105,7 @@ QuantizedFft::QuantizedFft(
     throw std::invalid_argument("QuantizedFft: size must be a power of two >= 4");
   if (calibration_frames.empty())
     throw std::invalid_argument("QuantizedFft: need calibration frames");
+  twiddles_ = twiddle_table(size);
 
   // Track max |re|,|im| of products and sums per stage.
   fixedpoint::RangeTracker products(stages_);
@@ -101,7 +115,7 @@ QuantizedFft::QuantizedFft(
       throw std::invalid_argument("QuantizedFft: calibration frame size");
     auto data = frame;
     dit_transform(
-        data,
+        data, twiddles_,
         [&](std::size_t s, std::complex<double> p) {
           products.observe(s, p.real());
           products.observe(s, p.imag());
@@ -143,7 +157,7 @@ std::vector<std::complex<double>> QuantizedFft::transform(
 
   auto data = input;
   dit_transform(
-      data,
+      data, twiddles_,
       [&](std::size_t s, std::complex<double> p) {
         if (s == 0) return p;  // Stage 0 twiddle is 1: nothing to quantize.
         const auto& q = qmul[s - 1];

@@ -47,6 +47,9 @@ class QuantizedFft {
   std::size_t stages_;
   std::vector<int> mult_iwl_;  ///< Per quantized stage (1..stages-1).
   std::vector<int> add_iwl_;
+  /// Stage-major twiddle factors, built once: the W of span s and index k
+  /// at [s − 1 + k].
+  std::vector<std::complex<double>> twiddles_;
 };
 
 }  // namespace ace::signal
