@@ -49,9 +49,12 @@ s::SessionSpec heavy_spec() {
   spec.name = "heavy";
   // Small radius + tight refit period: nearly every evaluation simulates
   // (big store) and the replay refits constantly — a deliberately
-  // expensive snapshot.
+  // expensive snapshot. Restore replays every fit and its LOO pass only
+  // under a LOO-calibrated gate (the default gate's resume runs just the
+  // last fit), so the gate is what keeps the replay slow.
   spec.policy.distance = 1;
   spec.policy.refit_period = 2;
+  spec.policy.gate = d::GateKind::kLooCalibrated;
   spec.optimizer = s::OptimizerKind::kMinPlusOne;
   spec.min_plus.nv = 8;
   spec.min_plus.w_max = 24;
