@@ -4,7 +4,7 @@
 // should cut the interpolation error — especially at larger d where the
 // support sits farther from the query.
 #include <iostream>
-#include <memory>
+#include <optional>
 
 #include "core/benchmarks.hpp"
 #include "core/table1.hpp"
@@ -46,7 +46,7 @@ void simple_vs_ordinary(const ace::core::ApplicationBenchmark& bench,
 
   d::SimulationStore store;
   ace::util::RunningStats ok_eps, sk_eps;
-  std::unique_ptr<k::VariogramModel> model;
+  std::optional<k::VariogramModel> model;
   double sill = 1.0;
   double mean = 0.0;
 

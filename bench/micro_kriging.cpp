@@ -46,7 +46,8 @@ void BM_KrigingSolve(benchmark::State& state) {
   ace::util::Rng rng(1);
   const auto pts = lattice_points(rng, n, 10);
   const auto vals = rng.uniform_vector(n, -60.0, -20.0);
-  const ace::kriging::SphericalVariogram model(0.0, 10.0, 12.0);
+  const ace::kriging::VariogramModel model(
+      ace::kriging::ModelFamily::kSpherical, 0.0, 10.0, 12.0);
   const std::vector<double> query(10, 8.0);
   // One-shot: build the system and factor it for a single query.
   for (auto _ : state) {

@@ -25,7 +25,7 @@ void analyze(const ace::core::ApplicationBenchmark& bench,
                                             ace::kriging::l1_distance);
   const auto fits = ace::kriging::fit_all(ev);
   for (std::size_t i = 0; i < fits.size(); ++i) {
-    table.add_row({bench.name, ace::kriging::family_name(fits[i].family),
+    table.add_row({bench.name, ace::kriging::family_name(fits[i].model.family),
                    ace::util::fmt(fits[i].weighted_sse, 3),
                    i == 0 ? "<- selected" : ""});
   }

@@ -95,7 +95,7 @@ bool KrigingPolicy::refit_model() {
 }
 
 bool KrigingPolicy::refit_model_locked(
-    std::shared_ptr<const kriging::VariogramModel> fitted) {
+    const std::optional<kriging::VariogramModel>& fitted) {
   // Record the attempt for checkpoint replay: re-running the same attempts
   // at the same store sizes against the rebuilt store reproduces the model,
   // trend and refit clocks exactly (store values are immutable once added
@@ -147,15 +147,14 @@ bool KrigingPolicy::refit_model_locked(
     ++stats_.failed_refits;
     return false;
   }
-  model_ = fitted ? std::move(fitted)
-                 : kriging::fit_best(*variogram, options_.fit).model;
+  model_ = fitted ? *fitted : kriging::fit_best(*variogram, options_.fit).model;
   sill_estimate_ = variogram->value_variance();
   sims_at_last_fit_ = store_.size();
   ++stats_.refits;
   // Stochastic-kriging nugget from the fit: the fitted variogram's γ(0)
   // read as measurement noise τ². Updated before the LOO pass so the
   // calibration sees the systems future queries will actually assemble.
-  if (options_.nugget_from_fit) effective_nugget_ = model_->nugget();
+  if (options_.nugget_from_fit) effective_nugget_ = model_->nugget;
   run_loo_calibration_locked();
   return true;
 }

@@ -220,12 +220,12 @@ struct PolicySnapshot {
   std::vector<std::pair<Config, FaultCode>> quarantine;
   std::vector<std::size_t> fit_events;  ///< store size at each refit call.
   PolicyStats stats;
-  /// The fitted model at snapshot time (null before the first successful
+  /// The fitted model at snapshot time (empty before the first successful
   /// fit). In memory only — the checkpoint text does not carry it, and a
   /// snapshot without it restores the same model by refitting. restore()
   /// adopts it as the result of the last recorded fit instead of running
   /// that fit again.
-  std::shared_ptr<const kriging::VariogramModel> model;
+  std::optional<kriging::VariogramModel> model;
 };
 
 /// The policy object: owns the simulated-configuration store and the
@@ -284,10 +284,9 @@ class KrigingPolicy {
   }
   const PolicyOptions& options() const { return options_; }
 
-  /// Currently fitted variogram (nullptr before first fit). Shared
-  /// ownership snapshot: a refit replaces the policy's pointer but cannot
-  /// pull the model out from under a caller still holding this handle.
-  std::shared_ptr<const kriging::VariogramModel> model() const
+  /// Currently fitted variogram (empty before the first fit). Returned by
+  /// value, so a later refit cannot change what the caller holds.
+  std::optional<kriging::VariogramModel> model() const
       ACE_EXCLUDES(mutex_) {
     const util::LockGuard lock(mutex_);
     return model_;
@@ -349,7 +348,7 @@ class KrigingPolicy {
   /// running kriging::fit_best (restore passes the snapshotted model,
   /// which is exactly that fit).
   bool refit_model_locked(
-      std::shared_ptr<const kriging::VariogramModel> fitted = nullptr)
+      const std::optional<kriging::VariogramModel>& fitted = std::nullopt)
       ACE_REQUIRES(mutex_);
 
   /// Refit-time LOO-CV pass over the windowed store (gates that
@@ -397,10 +396,8 @@ class KrigingPolicy {
   /// systems: options_.noise_nugget, or the fitted variogram nugget after
   /// each refit when options_.nugget_from_fit is set.
   double effective_nugget_ ACE_GUARDED_BY(mutex_) = 0.0;
-  /// Shared so model() can hand out a lifetime-safe snapshot; the policy
-  /// itself treats it as the unique owner (replaced only on refit).
-  std::shared_ptr<const kriging::VariogramModel> model_
-      ACE_GUARDED_BY(mutex_);
+  /// The fitted variogram (replaced only on refit).
+  std::optional<kriging::VariogramModel> model_ ACE_GUARDED_BY(mutex_);
   /// Regression-kriging trend (may be empty).
   std::vector<double> trend_ ACE_GUARDED_BY(mutex_);
   /// Incrementally extended empirical variogram (constant drift only; the

@@ -2,24 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 
 #include "util/contract.hpp"
 
 namespace ace::kriging {
-
-std::string family_name(ModelFamily family) {
-  switch (family) {
-    case ModelFamily::kLinear: return "linear";
-    case ModelFamily::kSpherical: return "spherical";
-    case ModelFamily::kExponential: return "exponential";
-    case ModelFamily::kGaussian: return "gaussian";
-    case ModelFamily::kPower: return "power";
-  }
-  return "unknown";
-}
 
 namespace {
 
@@ -29,12 +17,15 @@ struct WeightedFit {
   double sse = std::numeric_limits<double>::infinity();
 };
 
-/// Weighted LS of γ̂ ≈ nugget + scale·basis(d) with both coefficients
-/// clamped to >= 0 (a variogram must be non-negative and non-decreasing for
-/// our basis choices). Solves the 2x2 normal equations directly and falls
-/// back to the boundary solutions when a coefficient goes negative.
+/// Weighted LS of γ̂ ≈ nugget + scale·unit_basis(family, shape, d) with
+/// both coefficients clamped to >= 0 (a variogram must be non-negative and
+/// non-decreasing for our basis choices). Solves the 2x2 normal equations
+/// directly and falls back to the boundary solutions when a coefficient
+/// goes negative. Calls unit_basis, not VariogramModel::gamma: bins sit at
+/// d > 0, and the basis is the same formula gamma evaluates there.
 WeightedFit fit_basis(const std::vector<VariogramBin>& bins,
-                      const std::function<double(double)>& basis) {
+                      ModelFamily family, double shape) {
+  const auto basis = [&](double d) { return unit_basis(family, shape, d); };
   double sw = 0.0, sb = 0.0, sbb = 0.0, sg = 0.0, sbg = 0.0;
   for (const auto& bin : bins) {
     const double w = static_cast<double>(bin.pair_count);
@@ -80,12 +71,8 @@ WeightedFit fit_basis(const std::vector<VariogramBin>& bins,
   return best;
 }
 
-FitResult make_result(std::unique_ptr<VariogramModel> model,
-                      ModelFamily family, double sse) {
-  FitResult r;
-  r.model = std::move(model);
-  r.family = family;
-  r.weighted_sse = sse;
+FitResult make_result(const VariogramModel& model, double sse) {
+  const FitResult r{model, sse};
   ACE_ENSURE(std::isfinite(r.weighted_sse) && r.weighted_sse >= 0.0,
              "weighted SSE is a sum of weighted squares");
 #if ACE_CONTRACTS_ENABLED
@@ -94,9 +81,9 @@ FitResult make_result(std::unique_ptr<VariogramModel> model,
   // non-decreasing γ — a decreasing variogram would claim that far-apart
   // samples agree better than close ones.
   {
-    double prev = r.model->gamma(0.0);
+    double prev = r.model.gamma(0.0);
     for (const double d : {0.5, 1.0, 2.0, 4.0, 8.0, 16.0}) {
-      const double g = r.model->gamma(d);
+      const double g = r.model.gamma(d);
       ACE_ENSURE(g >= prev - 1e-12, "fitted variogram must be non-decreasing");
       prev = g;
     }
@@ -115,74 +102,38 @@ FitResult fit_family(const EmpiricalVariogram& ev, ModelFamily family,
 
   const double dmax = std::max(ev.max_distance(), 1e-12);
 
+  // Candidate shapes: none (0) for linear, the exponent grid 0.1 .. 1.8
+  // for power, and for the bounded families ranges from a fraction of the
+  // max lag to well past it.
+  std::vector<double> shapes;
   switch (family) {
-    case ModelFamily::kLinear: {
-      const auto fit = fit_basis(bins, [](double d) { return d; });
-      return make_result(
-          std::make_unique<LinearVariogram>(fit.nugget, fit.scale), family,
-          fit.sse);
-    }
-    case ModelFamily::kPower: {
-      WeightedFit best;
-      double best_p = 1.0;
-      for (int i = 1; i <= 18; ++i) {
-        const double p = 0.1 * static_cast<double>(i);  // 0.1 .. 1.8
-        const auto fit =
-            fit_basis(bins, [p](double d) { return std::pow(d, p); });
-        if (fit.sse < best.sse) {
-          best = fit;
-          best_p = p;
-        }
-      }
-      return make_result(
-          std::make_unique<PowerVariogram>(best.nugget, best.scale, best_p),
-          family, best.sse);
-    }
+    case ModelFamily::kLinear:
+      shapes = {0.0};
+      break;
+    case ModelFamily::kPower:
+      for (int i = 1; i <= 18; ++i)
+        shapes.push_back(0.1 * static_cast<double>(i));
+      break;
     case ModelFamily::kSpherical:
     case ModelFamily::kExponential:
     case ModelFamily::kGaussian: {
-      WeightedFit best;
-      double best_range = dmax;
       const int grid = std::max(options.range_grid, 2);
-      for (int i = 1; i <= grid; ++i) {
-        // Ranges from a fraction of the max lag to well past it.
-        const double range =
-            dmax * (0.25 + 2.75 * static_cast<double>(i) /
-                               static_cast<double>(grid));
-        std::function<double(double)> basis;
-        if (family == ModelFamily::kSpherical) {
-          basis = [range](double d) {
-            const double h = d / range;
-            return h >= 1.0 ? 1.0 : 1.5 * h - 0.5 * h * h * h;
-          };
-        } else if (family == ModelFamily::kExponential) {
-          basis = [range](double d) { return 1.0 - std::exp(-3.0 * d / range); };
-        } else {
-          basis = [range](double d) {
-            const double h = d / range;
-            return 1.0 - std::exp(-3.0 * h * h);
-          };
-        }
-        const auto fit = fit_basis(bins, basis);
-        if (fit.sse < best.sse) {
-          best = fit;
-          best_range = range;
-        }
-      }
-      std::unique_ptr<VariogramModel> model;
-      if (family == ModelFamily::kSpherical)
-        model = std::make_unique<SphericalVariogram>(best.nugget, best.scale,
-                                                     best_range);
-      else if (family == ModelFamily::kExponential)
-        model = std::make_unique<ExponentialVariogram>(best.nugget, best.scale,
-                                                       best_range);
-      else
-        model = std::make_unique<GaussianVariogram>(best.nugget, best.scale,
-                                                    best_range);
-      return make_result(std::move(model), family, best.sse);
+      for (int i = 1; i <= grid; ++i)
+        shapes.push_back(dmax * (0.25 + 2.75 * static_cast<double>(i) /
+                                            static_cast<double>(grid)));
+      break;
     }
   }
-  throw std::logic_error("fit_family: unreachable");
+  WeightedFit best;
+  double best_shape = shapes.front();
+  for (const double shape : shapes) {
+    const auto fit = fit_basis(bins, family, shape);
+    if (fit.sse < best.sse) {
+      best = fit;
+      best_shape = shape;
+    }
+  }
+  return make_result({family, best.nugget, best.scale, best_shape}, best.sse);
 }
 
 std::vector<FitResult> fit_all(const EmpiricalVariogram& ev,

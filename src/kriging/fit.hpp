@@ -9,8 +9,6 @@
 // exponent likewise. Bins are weighted by their pair count |N(d)|.
 #pragma once
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "kriging/empirical_variogram.hpp"
@@ -18,15 +16,9 @@
 
 namespace ace::kriging {
 
-/// Families the fitter knows.
-enum class ModelFamily { kLinear, kSpherical, kExponential, kGaussian, kPower };
-
-std::string family_name(ModelFamily family);
-
 /// One fitted candidate.
 struct FitResult {
-  std::unique_ptr<VariogramModel> model;
-  ModelFamily family = ModelFamily::kLinear;
+  VariogramModel model;
   double weighted_sse = 0.0;  ///< Σ |N(d)|·(γ̂(d) − γ(d))² over bins.
 };
 

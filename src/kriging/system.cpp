@@ -29,7 +29,7 @@ KrigingSystem::KrigingSystem(SystemSpec spec,
                              std::vector<std::vector<double>> support_points,
                              std::vector<double> support_values,
                              const VariogramModel& model, DistanceFn distance)
-    : spec_(spec), model_(model.clone()), distance_(std::move(distance)) {
+    : spec_(spec), model_(model), distance_(std::move(distance)) {
   if (support_points.empty())
     throw std::invalid_argument("KrigingSystem: empty support set");
   if (support_points.size() != support_values.size())
@@ -96,8 +96,8 @@ void KrigingSystem::init_border() {
 
 double KrigingSystem::entry_of(double d) const {
   if (spec_.kind == SystemKind::kSimple)
-    return std::max(spec_.sill - model_->gamma(d), 0.0);
-  return model_->gamma(d);
+    return std::max(spec_.sill - model_.gamma(d), 0.0);
+  return model_.gamma(d);
 }
 
 double KrigingSystem::diagonal_entry() const {
@@ -303,7 +303,7 @@ std::optional<KrigingResult> KrigingSystem::finalize(
   double estimate = spec_.kind == SystemKind::kSimple ? spec_.mean : 0.0;
   double variance =
       spec_.kind == SystemKind::kSimple
-          ? std::max(spec_.sill - model_->gamma(0.0), 0.0)
+          ? std::max(spec_.sill - model_.gamma(0.0), 0.0)
           : 0.0;
   std::vector<double> unique_weights(n);
   for (std::size_t k = 0; k < n; ++k) {

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -189,7 +188,7 @@ class KrigingSystem {
 
   SystemSpec spec_;
   DriftKind effective_drift_ = DriftKind::kConstant;
-  std::unique_ptr<VariogramModel> model_;
+  VariogramModel model_;
   DistanceFn distance_;
   std::size_t dim_ = 0;
 

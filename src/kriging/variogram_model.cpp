@@ -8,9 +8,32 @@
 
 namespace ace::kriging {
 
-void VariogramModel::check_distance(double d) {
-  if (d < 0.0)
-    throw std::invalid_argument("VariogramModel: negative distance");
+std::string family_name(ModelFamily family) {
+  switch (family) {
+    case ModelFamily::kLinear: return "linear";
+    case ModelFamily::kSpherical: return "spherical";
+    case ModelFamily::kExponential: return "exponential";
+    case ModelFamily::kGaussian: return "gaussian";
+    case ModelFamily::kPower: return "power";
+  }
+  return "unknown";
+}
+
+double unit_basis(ModelFamily family, double shape, double d) {
+  switch (family) {
+    case ModelFamily::kLinear: return d;
+    case ModelFamily::kSpherical: {
+      const double h = d / shape;
+      return h >= 1.0 ? 1.0 : 1.5 * h - 0.5 * h * h * h;
+    }
+    case ModelFamily::kExponential: return 1.0 - std::exp(-3.0 * d / shape);
+    case ModelFamily::kGaussian: {
+      const double h = d / shape;
+      return 1.0 - std::exp(-3.0 * h * h);
+    }
+    case ModelFamily::kPower: return std::pow(d, shape);
+  }
+  throw std::logic_error("unit_basis: unknown family");
 }
 
 namespace {
@@ -27,134 +50,56 @@ void check_pos(double v, const char* what) {
 }
 }  // namespace
 
-// ---------------------------------------------------------------- linear
-LinearVariogram::LinearVariogram(double nugget, double slope)
-    : nugget_(nugget), slope_(slope) {
+VariogramModel::VariogramModel(ModelFamily family_tag, double nugget_value,
+                               double scale_value, double shape_value)
+    : family(family_tag),
+      nugget(nugget_value),
+      scale(scale_value),
+      shape(shape_value) {
   check_nonneg(nugget, "nugget");
-  check_nonneg(slope, "slope");
+  switch (family) {
+    case ModelFamily::kLinear:
+      check_nonneg(scale, "slope");
+      break;
+    case ModelFamily::kPower:
+      check_nonneg(scale, "scale");
+      ACE_REQUIRE(shape > 0.0 && shape < 2.0,
+                  "Variogram: power exponent must be in (0, 2) for a valid "
+                  "(conditionally negative definite) variogram");
+      break;
+    case ModelFamily::kSpherical:
+    case ModelFamily::kExponential:
+    case ModelFamily::kGaussian:
+      check_nonneg(scale, "sill");
+      check_pos(shape, "range");
+      break;
+  }
 }
 
-double LinearVariogram::gamma(double d) const {
-  check_distance(d);
+double VariogramModel::gamma(double d) const {
+  if (d < 0.0)
+    throw std::invalid_argument("VariogramModel: negative distance");
   // γ(0) = 0 by definition; the nugget applies only to d > 0.
-  return d == 0.0 ? 0.0 : nugget_ + slope_ * d;  // ace-lint: allow(float-equality)
-}
-
-std::string LinearVariogram::describe() const {
-  std::ostringstream ss;
-  ss << "linear(nugget=" << nugget_ << ", slope=" << slope_ << ")";
-  return ss.str();
-}
-
-std::unique_ptr<VariogramModel> LinearVariogram::clone() const {
-  return std::make_unique<LinearVariogram>(*this);
-}
-
-// ------------------------------------------------------------- spherical
-SphericalVariogram::SphericalVariogram(double nugget, double sill,
-                                       double range)
-    : nugget_(nugget), sill_(sill), range_(range) {
-  check_nonneg(nugget, "nugget");
-  check_nonneg(sill, "sill");
-  check_pos(range, "range");
-}
-
-double SphericalVariogram::gamma(double d) const {
-  check_distance(d);
   if (d == 0.0) return 0.0;  // ace-lint: allow(float-equality)
-  const double h = d / range_;
-  if (h >= 1.0) return nugget_ + sill_;
-  return nugget_ + sill_ * (1.5 * h - 0.5 * h * h * h);
+  return nugget + scale * unit_basis(family, shape, d);
 }
 
-std::string SphericalVariogram::describe() const {
+std::string VariogramModel::describe() const {
   std::ostringstream ss;
-  ss << "spherical(nugget=" << nugget_ << ", sill=" << sill_
-     << ", range=" << range_ << ")";
+  ss << family_name(family) << "(nugget=" << nugget;
+  switch (family) {
+    case ModelFamily::kLinear: ss << ", slope=" << scale; break;
+    case ModelFamily::kPower:
+      ss << ", scale=" << scale << ", exponent=" << shape;
+      break;
+    case ModelFamily::kSpherical:
+    case ModelFamily::kExponential:
+    case ModelFamily::kGaussian:
+      ss << ", sill=" << scale << ", range=" << shape;
+      break;
+  }
+  ss << ")";
   return ss.str();
-}
-
-std::unique_ptr<VariogramModel> SphericalVariogram::clone() const {
-  return std::make_unique<SphericalVariogram>(*this);
-}
-
-// ----------------------------------------------------------- exponential
-ExponentialVariogram::ExponentialVariogram(double nugget, double sill,
-                                           double range)
-    : nugget_(nugget), sill_(sill), range_(range) {
-  check_nonneg(nugget, "nugget");
-  check_nonneg(sill, "sill");
-  check_pos(range, "range");
-}
-
-double ExponentialVariogram::gamma(double d) const {
-  check_distance(d);
-  if (d == 0.0) return 0.0;  // ace-lint: allow(float-equality)
-  return nugget_ + sill_ * (1.0 - std::exp(-3.0 * d / range_));
-}
-
-std::string ExponentialVariogram::describe() const {
-  std::ostringstream ss;
-  ss << "exponential(nugget=" << nugget_ << ", sill=" << sill_
-     << ", range=" << range_ << ")";
-  return ss.str();
-}
-
-std::unique_ptr<VariogramModel> ExponentialVariogram::clone() const {
-  return std::make_unique<ExponentialVariogram>(*this);
-}
-
-// -------------------------------------------------------------- gaussian
-GaussianVariogram::GaussianVariogram(double nugget, double sill, double range)
-    : nugget_(nugget), sill_(sill), range_(range) {
-  check_nonneg(nugget, "nugget");
-  check_nonneg(sill, "sill");
-  check_pos(range, "range");
-}
-
-double GaussianVariogram::gamma(double d) const {
-  check_distance(d);
-  if (d == 0.0) return 0.0;  // ace-lint: allow(float-equality)
-  const double h = d / range_;
-  return nugget_ + sill_ * (1.0 - std::exp(-3.0 * h * h));
-}
-
-std::string GaussianVariogram::describe() const {
-  std::ostringstream ss;
-  ss << "gaussian(nugget=" << nugget_ << ", sill=" << sill_
-     << ", range=" << range_ << ")";
-  return ss.str();
-}
-
-std::unique_ptr<VariogramModel> GaussianVariogram::clone() const {
-  return std::make_unique<GaussianVariogram>(*this);
-}
-
-// ----------------------------------------------------------------- power
-PowerVariogram::PowerVariogram(double nugget, double scale, double exponent)
-    : nugget_(nugget), scale_(scale), exponent_(exponent) {
-  check_nonneg(nugget, "nugget");
-  check_nonneg(scale, "scale");
-  ACE_REQUIRE(exponent > 0.0 && exponent < 2.0,
-              "PowerVariogram: exponent must be in (0, 2) for a valid "
-              "(conditionally negative definite) variogram");
-}
-
-double PowerVariogram::gamma(double d) const {
-  check_distance(d);
-  if (d == 0.0) return 0.0;  // ace-lint: allow(float-equality)
-  return nugget_ + scale_ * std::pow(d, exponent_);
-}
-
-std::string PowerVariogram::describe() const {
-  std::ostringstream ss;
-  ss << "power(nugget=" << nugget_ << ", scale=" << scale_
-     << ", exponent=" << exponent_ << ")";
-  return ss.str();
-}
-
-std::unique_ptr<VariogramModel> PowerVariogram::clone() const {
-  return std::make_unique<PowerVariogram>(*this);
 }
 
 }  // namespace ace::kriging

@@ -59,10 +59,12 @@ TEST(ContractViolation, KindNames) {
 
 TEST(LibraryContracts, NegativeSillVariogram) {
 #if ACE_CONTRACTS_ENABLED
-  EXPECT_THROW(ace::kriging::SphericalVariogram(0.0, -1.0, 2.0),
+  EXPECT_THROW(ace::kriging::VariogramModel(
+                   ace::kriging::ModelFamily::kSpherical, 0.0, -1.0, 2.0),
                ContractViolation);
 #else
-  EXPECT_NO_THROW(ace::kriging::SphericalVariogram(0.0, -1.0, 2.0));
+  EXPECT_NO_THROW(ace::kriging::VariogramModel(
+      ace::kriging::ModelFamily::kSpherical, 0.0, -1.0, 2.0));
 #endif
 }
 

@@ -148,7 +148,7 @@ TEST(KrigingPolicy, RefitModelRequiresEnoughData) {
   EXPECT_FALSE(policy.refit_model());
   (void)policy.evaluate({9, 0}, sim);
   EXPECT_TRUE(policy.refit_model());
-  EXPECT_NE(policy.model(), nullptr);
+  EXPECT_TRUE(policy.model().has_value());
 }
 
 TEST(KrigingPolicy, RejectsNegativeVarianceGate) {
@@ -319,7 +319,7 @@ TEST(KrigingPolicy, FailedRefitBacksOffUntilPeriodElapses) {
   // give a single variogram bin, so the fit fails.
   (void)policy.evaluate({0, 1}, sim);
   EXPECT_EQ(policy.stats().failed_refits, 1u);
-  EXPECT_EQ(policy.model(), nullptr);
+  EXPECT_FALSE(policy.model().has_value());
 
   // The next evaluations are still below the backoff threshold: no new
   // attempts pile up even though every one of them would like a model.
@@ -332,7 +332,7 @@ TEST(KrigingPolicy, FailedRefitBacksOffUntilPeriodElapses) {
   (void)policy.evaluate({1, 2}, sim);
   EXPECT_EQ(policy.stats().failed_refits, 1u);
   EXPECT_EQ(policy.stats().refits, 1u);
-  EXPECT_NE(policy.model(), nullptr);
+  EXPECT_TRUE(policy.model().has_value());
 }
 
 TEST(KrigingPolicyBatch, ParallelIsBitIdenticalToSerial) {

@@ -236,7 +236,8 @@ TEST(SimulationStore, DeduplicationKeepsKrigingWellPosed) {
   std::vector<double> values;
   store.gather(n, points, values);
 
-  const ace::kriging::LinearVariogram model(0.0, 1.0);
+  const ace::kriging::VariogramModel model(
+      ace::kriging::ModelFamily::kLinear, 0.0, 1.0);
   const auto result =
       ace::kriging::KrigingSystem({}, points, values, model).query({1.0, 1.0});
   ASSERT_TRUE(result.has_value());

@@ -33,6 +33,7 @@
 namespace {
 
 namespace k = ace::kriging;
+using F = k::ModelFamily;
 namespace la = ace::linalg;
 
 constexpr double kTol = 1e-10;
@@ -179,7 +180,7 @@ std::vector<k::SystemSpec> all_specs() {
 }
 
 TEST(KrigingLoo, MatchesScratchDeletedSolvesAcrossEstimators) {
-  const k::SphericalVariogram model(0.1, 2.0, 8.0);
+  const k::VariogramModel model(F::kSpherical, 0.1, 2.0, 8.0);
   for (const auto& spec : all_specs()) {
     for (std::uint64_t seed : {21u, 22u, 23u}) {
       const auto pts = lattice_points(2, 8, seed);
@@ -205,7 +206,7 @@ TEST(KrigingLoo, MatchesScratchDeletedSolvesAcrossEstimators) {
 // queried at the held-out point — residual AND kriging variance must
 // match the factorization-backed report.
 TEST(KrigingLoo, MatchesRealScratchRefitsWhenUnridged) {
-  const k::SphericalVariogram model(0.1, 2.0, 8.0);
+  const k::VariogramModel model(F::kSpherical, 0.1, 2.0, 8.0);
   for (const auto& spec : all_specs()) {
     const auto pts = lattice_points(2, 8, 31);
     const auto values = random_values(8, 131);
@@ -238,7 +239,7 @@ TEST(KrigingLoo, MatchesRealScratchRefitsWhenUnridged) {
 // value so the regularized system stays consistent and the comparison
 // stays at 1e-10 despite the conditioning.
 TEST(KrigingLoo, RidgePathMatchesScratchAtTheRecordedShift) {
-  const k::SphericalVariogram model(0.0, 2.0, 8.0);
+  const k::VariogramModel model(F::kSpherical, 0.0, 2.0, 8.0);
   std::vector<std::vector<double>> pts = {{0.0, 0.0}, {3.0, 1.0}, {6.0, 2.0},
                                           {1.0, 5.0}, {7.0, 6.0}, {4.0, 4.0},
                                           {2.0, 7.0}};
@@ -264,7 +265,7 @@ TEST(KrigingLoo, RidgePathMatchesScratchAtTheRecordedShift) {
 // slots, so the LOO report covers the unique support only and matches
 // scratch solves over the deduplicated point list.
 TEST(KrigingLoo, DedupedSupportMatchesScratchOverUniquePoints) {
-  const k::SphericalVariogram model(0.1, 2.0, 8.0);
+  const k::VariogramModel model(F::kSpherical, 0.1, 2.0, 8.0);
   const auto unique_pts = lattice_points(2, 6, 41);
   const auto unique_values = random_values(6, 141);
   auto pts = unique_pts;
@@ -295,7 +296,7 @@ TEST(KrigingLoo, DedupedSupportMatchesScratchOverUniquePoints) {
 // report matches scratch solves of the nugget-bearing matrix, and the
 // LOO variances grow strictly (prediction of a noisy observation).
 TEST(KrigingLoo, NuggetMatchesScratchAndInflatesVariance) {
-  const k::SphericalVariogram model(0.1, 2.0, 8.0);
+  const k::VariogramModel model(F::kSpherical, 0.1, 2.0, 8.0);
   const auto pts = lattice_points(2, 8, 61);
   const auto values = random_values(8, 161);
   for (auto spec : all_specs()) {
@@ -323,7 +324,7 @@ TEST(KrigingLoo, NuggetMatchesScratchAndInflatesVariance) {
 }
 
 TEST(KrigingLoo, DegenerateSupportsReturnNullopt) {
-  const k::SphericalVariogram model(0.1, 2.0, 8.0);
+  const k::VariogramModel model(F::kSpherical, 0.1, 2.0, 8.0);
   k::KrigingSystem single({k::SystemKind::kOrdinary}, {{1.0, 2.0}}, {3.0},
                           model);
   EXPECT_FALSE(single.loo_residuals().has_value());

@@ -14,6 +14,7 @@
 namespace {
 
 namespace k = ace::kriging;
+using F = k::ModelFamily;
 
 /// One-shot ordinary kriging at `query`.
 std::optional<k::KrigingResult> ordinary(
@@ -24,7 +25,7 @@ std::optional<k::KrigingResult> ordinary(
 }
 
 TEST(Krige, Validation) {
-  const k::LinearVariogram model(0.0, 1.0);
+  const k::VariogramModel model(F::kLinear, 0.0, 1.0);
   EXPECT_THROW((void)ordinary({}, {}, {0.0}, model), std::invalid_argument);
   EXPECT_THROW((void)ordinary({{0.0}}, {1.0, 2.0}, {0.0}, model),
                std::invalid_argument);
@@ -33,7 +34,7 @@ TEST(Krige, Validation) {
 }
 
 TEST(Krige, SingleSupportPointReturnsItsValue) {
-  const k::LinearVariogram model(0.0, 1.0);
+  const k::VariogramModel model(F::kLinear, 0.0, 1.0);
   const auto r = ordinary({{0.0}}, {7.5}, {3.0}, model);
   ASSERT_TRUE(r.has_value());
   EXPECT_NEAR(r->estimate, 7.5, 1e-9);
@@ -41,7 +42,7 @@ TEST(Krige, SingleSupportPointReturnsItsValue) {
 }
 
 TEST(Krige, ExactAtSupportPoints) {
-  const k::LinearVariogram model(0.0, 0.7);
+  const k::VariogramModel model(F::kLinear, 0.0, 0.7);
   const std::vector<std::vector<double>> pts = {{0.0}, {2.0}, {5.0}};
   const std::vector<double> vals = {1.0, -2.0, 4.0};
   for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -53,7 +54,7 @@ TEST(Krige, ExactAtSupportPoints) {
 }
 
 TEST(Krige, WeightsSumToOne) {
-  const k::SphericalVariogram model(0.0, 2.0, 8.0);
+  const k::VariogramModel model(F::kSpherical, 0.0, 2.0, 8.0);
   const std::vector<std::vector<double>> pts = {
       {0.0, 0.0}, {1.0, 2.0}, {3.0, 1.0}, {4.0, 4.0}};
   const std::vector<double> vals = {1.0, 2.0, 0.5, -1.0};
@@ -66,7 +67,7 @@ TEST(Krige, WeightsSumToOne) {
 
 TEST(Krige, MidpointOfTwoPointsIsTheirAverage) {
   // With a symmetric variogram, the midpoint weights are (1/2, 1/2).
-  const k::LinearVariogram model(0.0, 1.0);
+  const k::VariogramModel model(F::kLinear, 0.0, 1.0);
   const auto r = ordinary({{0.0}, {4.0}}, {2.0, 6.0}, {2.0}, model);
   ASSERT_TRUE(r.has_value());
   EXPECT_NEAR(r->estimate, 4.0, 1e-9);
@@ -77,14 +78,14 @@ TEST(Krige, MidpointOfTwoPointsIsTheirAverage) {
 TEST(Krige, LinearVariogramInterpolatesLinearly1D) {
   // Classic result: ordinary kriging with a linear variogram between two
   // support points reduces to linear interpolation.
-  const k::LinearVariogram model(0.0, 1.0);
+  const k::VariogramModel model(F::kLinear, 0.0, 1.0);
   const auto r = ordinary({{0.0}, {10.0}}, {0.0, 5.0}, {3.0}, model);
   ASSERT_TRUE(r.has_value());
   EXPECT_NEAR(r->estimate, 1.5, 1e-9);
 }
 
 TEST(Krige, CloserPointGetsLargerWeight) {
-  const k::ExponentialVariogram model(0.0, 1.0, 5.0);
+  const k::VariogramModel model(F::kExponential, 0.0, 1.0, 5.0);
   const auto r = ordinary({{1.0}, {9.0}}, {10.0, 20.0}, {2.0}, model);
   ASSERT_TRUE(r.has_value());
   EXPECT_GT(r->weights[0], r->weights[1]);
@@ -95,7 +96,7 @@ TEST(Krige, CloserPointGetsLargerWeight) {
 TEST(Krige, DegenerateVariogramFallsBackViaRidge) {
   // γ ≡ 0 makes the core of Γ all-zero: the ridge fallback yields equal
   // weights (the support mean) instead of failing.
-  const k::LinearVariogram model(0.0, 0.0);
+  const k::VariogramModel model(F::kLinear, 0.0, 0.0);
   const auto r = ordinary({{0.0}, {1.0}, {2.0}}, {3.0, 6.0, 9.0},
                           {1.0}, model);
   ASSERT_TRUE(r.has_value());
@@ -104,7 +105,7 @@ TEST(Krige, DegenerateVariogramFallsBackViaRidge) {
 }
 
 TEST(Krige, DuplicateSupportPointsAreHandled) {
-  const k::LinearVariogram model(0.0, 1.0);
+  const k::VariogramModel model(F::kLinear, 0.0, 1.0);
   // Two identical support points make Γ singular; ridge rescues.
   const auto r =
       ordinary({{0.0}, {0.0}, {4.0}}, {2.0, 2.0, 6.0}, {2.0}, model);
@@ -113,7 +114,7 @@ TEST(Krige, DuplicateSupportPointsAreHandled) {
 }
 
 TEST(Krige, VarianceGrowsWithDistanceFromSupport) {
-  const k::LinearVariogram model(0.0, 1.0);
+  const k::VariogramModel model(F::kLinear, 0.0, 1.0);
   const std::vector<std::vector<double>> pts = {{0.0}, {1.0}};
   const std::vector<double> vals = {1.0, 2.0};
   const auto near = ordinary(pts, vals, {0.5}, model);
@@ -126,7 +127,7 @@ TEST(Krige, VarianceGrowsWithDistanceFromSupport) {
 // One system answering many queries (factor memoized after the first)
 // matches a fresh system per query.
 TEST(OrdinaryKriging, ReusableEstimatorMatchesOneShot) {
-  const k::SphericalVariogram model(0.1, 1.0, 6.0);
+  const k::VariogramModel model(F::kSpherical, 0.1, 1.0, 6.0);
   const std::vector<std::vector<double>> pts = {{0.0, 1.0}, {2.0, 0.0},
                                                 {1.0, 3.0}};
   const std::vector<double> vals = {1.0, 4.0, -2.0};
@@ -145,7 +146,7 @@ TEST(OrdinaryKriging, ReusableEstimatorMatchesOneShot) {
 // The reusable system rejects bad support at construction, before any
 // query is made.
 TEST(OrdinaryKriging, ConstructorValidation) {
-  const k::LinearVariogram model(0.0, 1.0);
+  const k::VariogramModel model(F::kLinear, 0.0, 1.0);
   EXPECT_THROW(k::KrigingSystem({}, {}, {}, model), std::invalid_argument);
   EXPECT_THROW(k::KrigingSystem({}, {{0.0}}, {1.0, 2.0}, model),
                std::invalid_argument);
@@ -154,7 +155,7 @@ TEST(OrdinaryKriging, ConstructorValidation) {
 }
 
 TEST(Krige, QueryDimensionMismatchThrows) {
-  const k::LinearVariogram model(0.0, 1.0);
+  const k::VariogramModel model(F::kLinear, 0.0, 1.0);
   EXPECT_THROW((void)ordinary({{0.0, 0.0}}, {1.0}, {0.0}, model),
                std::invalid_argument);
 }

@@ -20,6 +20,7 @@
 namespace {
 
 namespace k = ace::kriging;
+using F = k::ModelFamily;
 
 /// One-shot simple kriging at `query` with the given sill and mean.
 std::optional<k::KrigingResult> simple(
@@ -33,7 +34,7 @@ std::optional<k::KrigingResult> simple(
 }
 
 TEST(SimpleKriging, Validation) {
-  const k::SphericalVariogram model(0.0, 1.0, 4.0);
+  const k::VariogramModel model(F::kSpherical, 0.0, 1.0, 4.0);
   EXPECT_THROW((void)simple({}, {}, {0.0}, model, 1.0, 0.0),
                std::invalid_argument);
   EXPECT_THROW(
@@ -48,7 +49,7 @@ TEST(SimpleKriging, Validation) {
 }
 
 TEST(SimpleKriging, ExactAtSupportPoints) {
-  const k::SphericalVariogram model(0.0, 2.0, 6.0);
+  const k::VariogramModel model(F::kSpherical, 0.0, 2.0, 6.0);
   const std::vector<std::vector<double>> pts = {{0.0}, {2.0}, {5.0}};
   const std::vector<double> vals = {1.0, -2.0, 4.0};
   for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -64,7 +65,7 @@ TEST(SimpleKriging, FarQueryRevertsToTheMean) {
   // Beyond the variogram range the covariance vanishes: the estimate is
   // exactly the supplied mean — the defining property of simple kriging
   // (ordinary kriging reverts to the *local support* average instead).
-  const k::SphericalVariogram model(0.0, 2.0, 3.0);
+  const k::VariogramModel model(F::kSpherical, 0.0, 2.0, 3.0);
   const std::vector<std::vector<double>> pts = {{0.0}, {1.0}};
   const std::vector<double> vals = {10.0, 12.0};
   const double mean = 4.0;
@@ -76,7 +77,7 @@ TEST(SimpleKriging, FarQueryRevertsToTheMean) {
 }
 
 TEST(SimpleKriging, WeightsDoNotNeedToSumToOne) {
-  const k::ExponentialVariogram model(0.0, 1.5, 4.0);
+  const k::VariogramModel model(F::kExponential, 0.0, 1.5, 4.0);
   const std::vector<std::vector<double>> pts = {{0.0}, {2.0}, {4.0}};
   const std::vector<double> vals = {3.0, 5.0, 2.0};
   const auto r = simple(pts, vals, {6.0}, model, 1.5, 3.0);
@@ -90,7 +91,7 @@ TEST(SimpleKriging, WeightsDoNotNeedToSumToOne) {
 TEST(SimpleKriging, BiasedMeanBiasesTheEstimate) {
   // Same geometry, two different prior means: the far-field estimates
   // differ by exactly the mean difference.
-  const k::GaussianVariogram model(0.0, 1.0, 2.0);
+  const k::VariogramModel model(F::kGaussian, 0.0, 1.0, 2.0);
   const std::vector<std::vector<double>> pts = {{0.0}};
   const std::vector<double> vals = {5.0};
   const auto lo = simple(pts, vals, {50.0}, model, 1.0, 0.0);
@@ -103,7 +104,7 @@ TEST(SimpleKriging, BiasedMeanBiasesTheEstimate) {
 TEST(SimpleKriging, MatchesOrdinaryKrigingWhenMeanIsTrue) {
   // With the exact field mean supplied and support close to the query,
   // SK and OK agree closely (they differ only in how the mean is handled).
-  const k::SphericalVariogram model(0.0, 2.0, 8.0);
+  const k::VariogramModel model(F::kSpherical, 0.0, 2.0, 8.0);
   const std::vector<std::vector<double>> pts = {{0.0}, {1.0}, {2.0}, {3.0}};
   const std::vector<double> vals = {4.0, 6.0, 5.0, 7.0};
   const double mean = (4.0 + 6.0 + 5.0 + 7.0) / 4.0;

@@ -27,6 +27,7 @@
 namespace {
 
 namespace k = ace::kriging;
+using F = k::ModelFamily;
 
 struct Instance {
   std::vector<std::vector<double>> points;
@@ -154,9 +155,9 @@ void expect_matches_reference(
 }
 
 TEST(KrigingSystem, MatchesDenseReferenceSolve) {
-  const k::SphericalVariogram spherical(0.1, 2.0, 8.0);
-  const k::ExponentialVariogram exponential(0.0, 1.5, 6.0);
-  const k::GaussianVariogram gaussian(0.05, 3.0, 7.0);
+  const k::VariogramModel spherical(F::kSpherical, 0.1, 2.0, 8.0);
+  const k::VariogramModel exponential(F::kExponential, 0.0, 1.5, 6.0);
+  const k::VariogramModel gaussian(F::kGaussian, 0.05, 3.0, 7.0);
   const std::vector<const k::VariogramModel*> models = {
       &spherical, &exponential, &gaussian};
   std::uint64_t seed = 100;
@@ -167,7 +168,7 @@ TEST(KrigingSystem, MatchesDenseReferenceSolve) {
         for (const auto& spec : all_specs()) {
           SCOPED_TRACE(::testing::Message()
                        << "dim " << dim << " n " << n << " model "
-                       << model->name() << " kind "
+                       << k::family_name(model->family) << " kind "
                        << static_cast<int>(spec.kind));
           expect_matches_reference(spec, inst, *model);
         }
@@ -180,7 +181,7 @@ TEST(KrigingSystem, MatchesDenseReferenceSolve) {
 // plain solve is singular or blows past the 1e6 acceptability bound on
 // both paths, so both must report the ridge fallback.
 TEST(KrigingSystem, MatchesDenseReferenceOnNearSingularSystem) {
-  const k::GaussianVariogram model(0.0, 1.0, 4.0);
+  const k::VariogramModel model(F::kGaussian, 0.0, 1.0, 4.0);
   Instance inst;
   inst.points = {{0.0, 0.0}, {1e-9, 0.0}, {3.0, 1.0}, {1.0, 4.0}};
   inst.values = {1.0, 1.5, -2.0, 3.0};
@@ -196,7 +197,7 @@ TEST(KrigingSystem, MatchesDenseReferenceOnNearSingularSystem) {
 // Unbiasedness survives the border: ordinary/universal weights sum to 1
 // (the Lagrange/drift border enforces it exactly).
 TEST(KrigingSystem, BorderKeepsWeightsUnbiased) {
-  const k::SphericalVariogram model(0.0, 1.0, 5.0);
+  const k::VariogramModel model(F::kSpherical, 0.0, 1.0, 5.0);
   for (const auto kind :
        {k::SystemKind::kOrdinary, k::SystemKind::kUniversal}) {
     const auto inst = make_instance(2, 7, 42);
@@ -211,7 +212,7 @@ TEST(KrigingSystem, BorderKeepsWeightsUnbiased) {
 }
 
 TEST(KrigingSystem, CoincidentSupportIsDeduplicated) {
-  const k::SphericalVariogram model(0.1, 2.0, 8.0);
+  const k::VariogramModel model(F::kSpherical, 0.1, 2.0, 8.0);
   const auto inst = make_instance(2, 5, 21);
   // Duplicate two points (same value: the duplicate carries no new info).
   auto points = inst.points;
@@ -238,7 +239,7 @@ TEST(KrigingSystem, CoincidentSupportIsDeduplicated) {
 
 // Repeated queries against one support set reuse the factorization.
 TEST(KrigingSystem, FactorIsReusedAcrossQueries) {
-  const k::SphericalVariogram model(0.1, 2.0, 8.0);
+  const k::VariogramModel model(F::kSpherical, 0.1, 2.0, 8.0);
   const auto inst = make_instance(2, 6, 33);
   k::KrigingSystem sys({k::SystemKind::kOrdinary}, inst.points, inst.values,
                        model);
@@ -256,7 +257,7 @@ TEST(KrigingSystem, FactorIsReusedAcrossQueries) {
 // queries, and one fed the LOO report first, must agree bit for bit with
 // a system built for each query alone.
 TEST(KrigingSystem, LooReusesTheQueryFactor) {
-  const k::SphericalVariogram model(0.1, 2.0, 8.0);
+  const k::VariogramModel model(F::kSpherical, 0.1, 2.0, 8.0);
   const auto inst = make_instance(2, 6, 34);
   k::KrigingSystem sys({k::SystemKind::kOrdinary}, inst.points, inst.values,
                        model);
@@ -274,7 +275,7 @@ TEST(KrigingSystem, LooReusesTheQueryFactor) {
 }
 
 TEST(KrigingSystem, UniversalDriftDegradesOnTinySupport) {
-  const k::SphericalVariogram model(0.1, 2.0, 8.0);
+  const k::VariogramModel model(F::kSpherical, 0.1, 2.0, 8.0);
   // 3 points in 2-D: fewer than dim + 2, so the drift degrades to the
   // constant border — the very system ordinary kriging assembles.
   const auto inst = make_instance(2, 3, 55);
@@ -299,7 +300,7 @@ TEST(KrigingSystem, UniversalDriftDegradesOnTinySupport) {
 // Two support points beyond the range under simple kriging: C = 2·I, a
 // regular diagonal system the plain rung solves exactly.
 TEST(RobustSolve, PlainSolveNeedsNoRegularization) {
-  const k::SphericalVariogram model(0.0, 2.0, 1.0);
+  const k::VariogramModel model(F::kSpherical, 0.0, 2.0, 1.0);
   k::KrigingSystem sys({k::SystemKind::kSimple, k::DriftKind::kConstant, 2.0,
                         0.0},
                        {{0.0}, {5.0}}, {1.0, 3.0}, model);
@@ -316,7 +317,7 @@ TEST(RobustSolve, PlainSolveNeedsNoRegularization) {
 // The all-zero variogram under simple kriging gives C = J (rank 1) and
 // c_q = 1: the plain rung is singular and a ridge rescues it.
 TEST(RobustSolve, RidgeRescuesSingularSystem) {
-  const k::LinearVariogram flat(0.0, 0.0);
+  const k::VariogramModel flat(F::kLinear, 0.0, 0.0);
   k::KrigingSystem sys({k::SystemKind::kSimple, k::DriftKind::kConstant, 1.0,
                         0.0},
                        {{0.0}, {1.0}}, {2.0, 2.0}, flat);
@@ -333,7 +334,7 @@ TEST(RobustSolve, RidgeRescuesSingularSystem) {
 // [[0 0 1] [0 0 1] [1 1 0]]: the core is all zero, and the Lagrange border
 // must stay intact so Σ weights = 1 is still enforced.
 TEST(RobustSolve, BorderRowsAreNotRegularized) {
-  const k::LinearVariogram flat(0.0, 0.0);
+  const k::VariogramModel flat(F::kLinear, 0.0, 0.0);
   k::KrigingSystem sys({k::SystemKind::kOrdinary}, {{0.0}, {1.0}},
                        {0.0, 0.0}, flat);
   const auto r = sys.query({0.5});
@@ -349,7 +350,7 @@ TEST(RobustSolve, BorderRowsAreNotRegularized) {
 // drift column for y is all zero, so a border row is all zero and no
 // ridge on the core can make the system regular.
 TEST(RobustSolve, GivesUpOnHopelessSystem) {
-  const k::SphericalVariogram model(0.0, 1.0, 5.0);
+  const k::VariogramModel model(F::kSpherical, 0.0, 1.0, 5.0);
   k::KrigingSystem sys({k::SystemKind::kUniversal, k::DriftKind::kLinear},
                        {{0.0, 0.0}, {1.0, 0.0}, {2.0, 0.0}, {3.0, 0.0}},
                        {1.0, 2.0, 3.0, 4.0}, model);
@@ -359,7 +360,7 @@ TEST(RobustSolve, GivesUpOnHopelessSystem) {
 
 // C = 100·J: the first ridge rung is 1e-10 times max |A| = 100.
 TEST(RobustSolve, ReportsRidgeMagnitudeScaledToMatrix) {
-  const k::LinearVariogram flat(0.0, 0.0);
+  const k::VariogramModel flat(F::kLinear, 0.0, 0.0);
   k::KrigingSystem sys({k::SystemKind::kSimple, k::DriftKind::kConstant,
                         100.0, 0.0},
                        {{0.0}, {1.0}}, {200.0, 200.0}, flat);
@@ -373,7 +374,7 @@ TEST(RobustSolve, ReportsRidgeMagnitudeScaledToMatrix) {
 // singular and the ladder must climb to a ridge. The answer must be the
 // solve of the hand-assembled matrix at exactly the reported shift.
 TEST(KrigingSystem, RidgeFallbackPathMatchesScratch) {
-  const k::LinearVariogram flat(0.0, 0.0);
+  const k::VariogramModel flat(F::kLinear, 0.0, 0.0);
   const auto inst = make_instance(2, 5, 7);
   k::KrigingSystem sys({k::SystemKind::kOrdinary}, inst.points, inst.values,
                        flat);
@@ -404,7 +405,7 @@ TEST(KrigingSystem, RidgeFallbackPathMatchesScratch) {
 // One factor build per ladder rung tried, memoized for every later query:
 // the singular plain rung is remembered, not refactored.
 TEST(KrigingSystem, FactorCountsOneBuildPerLadderRung) {
-  const k::LinearVariogram flat(0.0, 0.0);
+  const k::VariogramModel flat(F::kLinear, 0.0, 0.0);
   const auto inst = make_instance(2, 5, 8);
   k::KrigingSystem sys({k::SystemKind::kOrdinary}, inst.points, inst.values,
                        flat);
@@ -427,7 +428,7 @@ TEST(KrigingSystem, FactorCountsOneBuildPerLadderRung) {
 
 class KrigingSystemKindTest : public ::testing::TestWithParam<k::SystemSpec> {
  protected:
-  const k::SphericalVariogram model_{0.0, 2.0, 8.0};
+  const k::VariogramModel model_{F::kSpherical, 0.0, 2.0, 8.0};
   const Instance inst_ = make_instance(2, 7, 77);
 
   k::KrigingSystem make(const std::vector<std::vector<double>>& points,
@@ -587,7 +588,7 @@ k::KrigingSystem make_system(const KrigingCase& c,
 // agree exactly with a fresh system per query, for both built-in
 // distances.
 TEST(FactorReuse, MatchesFreshSystemsExactly) {
-  const k::SphericalVariogram model(0.0, 10.0, 12.0);
+  const k::VariogramModel model(F::kSpherical, 0.0, 10.0, 12.0);
   const KrigingCase c = make_kriging_case(51, 12, 6, 24);
   for (const auto& distance : {k::DistanceFn(k::l1_distance),
                                k::DistanceFn(k::l2_distance)}) {
@@ -603,7 +604,7 @@ TEST(FactorReuse, MatchesFreshSystemsExactly) {
 // The flat variogram makes the plain rung singular: the reused system
 // must climb to the same rung and answer exactly as a fresh one does.
 TEST(FactorReuse, MatchesFreshSystemsOnRidgeLadderPath) {
-  const k::LinearVariogram flat(0.0, 0.0);
+  const k::VariogramModel flat(F::kLinear, 0.0, 0.0);
   const KrigingCase c = make_kriging_case(52, 5, 2, 6);
   k::KrigingSystem reused = make_system(c, flat);
   for (std::size_t i = 0; i < c.queries.size(); ++i) {
@@ -615,7 +616,7 @@ TEST(FactorReuse, MatchesFreshSystemsOnRidgeLadderPath) {
 }
 
 TEST(FactorReuse, QueryOrderDoesNotChangeAnswers) {
-  const k::ExponentialVariogram model(0.05, 1.5, 6.0);
+  const k::VariogramModel model(F::kExponential, 0.05, 1.5, 6.0);
   const KrigingCase c = make_kriging_case(53, 9, 3, 12);
   k::KrigingSystem forward = make_system(c, model);
   k::KrigingSystem backward = make_system(c, model);
@@ -630,19 +631,17 @@ TEST(FactorReuse, QueryOrderDoesNotChangeAnswers) {
 // match the dense reference assembled with l2_distance, for every
 // estimator kind, just as the L1 systems above do.
 TEST(KrigingAssembly, L2DistanceMatchesDenseReferenceSolve) {
-  const k::SphericalVariogram spherical(0.1, 2.0, 8.0);
-  const k::GaussianVariogram gaussian(0.05, 3.0, 7.0);
+  const k::VariogramModel spherical(F::kSpherical, 0.1, 2.0, 8.0);
+  const k::VariogramModel gaussian(F::kGaussian, 0.05, 3.0, 7.0);
   std::uint64_t seed = 300;
   for (std::size_t dim = 1; dim <= 4; ++dim) {
     for (std::size_t n = dim + 2; n <= 9; n += 3) {
       const auto inst = make_instance(dim, n, ++seed);
-      for (const k::VariogramModel* model :
-           {static_cast<const k::VariogramModel*>(&spherical),
-            static_cast<const k::VariogramModel*>(&gaussian)})
+      for (const auto* model : {&spherical, &gaussian})
         for (const auto& spec : all_specs()) {
           SCOPED_TRACE(::testing::Message()
                        << "dim " << dim << " n " << n << " model "
-                       << model->name() << " kind "
+                       << k::family_name(model->family) << " kind "
                        << static_cast<int>(spec.kind));
           expect_matches_reference(spec, inst, *model, k::l2_distance);
         }
@@ -654,7 +653,7 @@ TEST(KrigingAssembly, L2DistanceMatchesDenseReferenceSolve) {
 // DistanceFn that merely wraps l1_distance / l2_distance answers bit for
 // bit like the helper itself.
 TEST(KrigingAssembly, WrappedDistanceMatchesBuiltInBitExactly) {
-  const k::GaussianVariogram model(0.05, 3.0, 9.0);
+  const k::VariogramModel model(F::kGaussian, 0.05, 3.0, 9.0);
   const KrigingCase c = make_kriging_case(54, 10, 5, 8);
   const k::DistanceFn wrapped_l1 = [](const std::vector<double>& a,
                                       const std::vector<double>& b) {
@@ -675,7 +674,7 @@ TEST(KrigingAssembly, WrappedDistanceMatchesBuiltInBitExactly) {
 }
 
 TEST(KrigingSystem, ValidatesInput) {
-  const k::SphericalVariogram model(0.1, 2.0, 8.0);
+  const k::VariogramModel model(F::kSpherical, 0.1, 2.0, 8.0);
   EXPECT_THROW(k::KrigingSystem({k::SystemKind::kOrdinary}, {}, {}, model),
                std::invalid_argument);
   EXPECT_THROW(k::KrigingSystem({k::SystemKind::kOrdinary}, {{1.0, 2.0}},

@@ -23,6 +23,7 @@
 namespace {
 
 namespace k = ace::kriging;
+using F = k::ModelFamily;
 
 /// One-shot kriging at `query` under the given system spec.
 std::optional<k::KrigingResult> krige_at(
@@ -42,7 +43,7 @@ std::optional<k::KrigingResult> with_drift(
 }
 
 TEST(UniversalKriging, Validation) {
-  const k::LinearVariogram model(0.0, 1.0);
+  const k::VariogramModel model(F::kLinear, 0.0, 1.0);
   EXPECT_THROW((void)with_drift({}, {}, {0.0}, model, k::DriftKind::kLinear),
                std::invalid_argument);
   EXPECT_THROW((void)with_drift({{0.0}}, {1.0, 2.0}, {0.0}, model,
@@ -54,7 +55,7 @@ TEST(UniversalKriging, Validation) {
 }
 
 TEST(UniversalKriging, ConstantDriftMatchesOrdinaryKriging) {
-  const k::SphericalVariogram model(0.1, 2.0, 6.0);
+  const k::VariogramModel model(F::kSpherical, 0.1, 2.0, 6.0);
   const std::vector<std::vector<double>> pts = {
       {0.0, 0.0}, {1.0, 2.0}, {3.0, 1.0}, {4.0, 4.0}};
   const std::vector<double> vals = {1.0, 2.0, 0.5, -1.0};
@@ -73,7 +74,7 @@ TEST(UniversalKriging, LinearDriftReproducesAffineFieldExactly) {
   // λ(x) = 3 + 2x sampled at a few 1-D points: with a linear drift the
   // trend is captured by the basis, so even an extrapolating query is
   // reproduced exactly — ordinary kriging cannot do that.
-  const k::LinearVariogram model(0.0, 1.0);
+  const k::VariogramModel model(F::kLinear, 0.0, 1.0);
   const std::vector<std::vector<double>> pts = {{0.0}, {1.0}, {2.0}, {4.0}};
   std::vector<double> vals;
   for (const auto& p : pts) vals.push_back(3.0 + 2.0 * p[0]);
@@ -90,7 +91,7 @@ TEST(UniversalKriging, LinearDriftReproducesAffineFieldExactly) {
 }
 
 TEST(UniversalKriging, LinearDriftExactInHigherDimensions) {
-  const k::ExponentialVariogram model(0.0, 1.0, 4.0);
+  const k::VariogramModel model(F::kExponential, 0.0, 1.0, 4.0);
   const std::vector<std::vector<double>> pts = {
       {0.0, 0.0, 0.0}, {1.0, 0.0, 2.0}, {2.0, 1.0, 0.0}, {0.0, 2.0, 1.0},
       {3.0, 3.0, 3.0}, {1.0, 2.0, 2.0}};
@@ -108,7 +109,7 @@ TEST(UniversalKriging, LinearDriftExactInHigherDimensions) {
 TEST(UniversalKriging, SmallSupportFallsBackToConstantDrift) {
   // 2 points in 3-D cannot identify a linear trend (needs dim + 2 = 5):
   // the call must still succeed via the constant-drift fallback.
-  const k::LinearVariogram model(0.0, 1.0);
+  const k::VariogramModel model(F::kLinear, 0.0, 1.0);
   const std::vector<std::vector<double>> pts = {{0.0, 0.0, 0.0},
                                                 {2.0, 0.0, 0.0}};
   const std::vector<double> vals = {1.0, 5.0};
@@ -119,7 +120,7 @@ TEST(UniversalKriging, SmallSupportFallsBackToConstantDrift) {
 }
 
 TEST(UniversalKriging, ExactAtSupportPoints) {
-  const k::LinearVariogram model(0.0, 0.5);
+  const k::VariogramModel model(F::kLinear, 0.0, 0.5);
   const std::vector<std::vector<double>> pts = {{0.0}, {2.0}, {5.0}, {7.0}};
   const std::vector<double> vals = {1.0, -2.0, 4.0, 0.0};
   for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -132,7 +133,7 @@ TEST(UniversalKriging, ExactAtSupportPoints) {
 
 TEST(UniversalKriging, WeightsSumToOneUnderLinearDrift) {
   // The constant basis row enforces Σw = 1 regardless of drift order.
-  const k::SphericalVariogram model(0.0, 1.0, 5.0);
+  const k::VariogramModel model(F::kSpherical, 0.0, 1.0, 5.0);
   ace::util::Rng rng(77);
   std::vector<std::vector<double>> pts;
   std::vector<double> vals;

@@ -31,9 +31,9 @@ TEST(FitOptions, RestrictedFamilyListIsHonoured) {
   options.families = {k::ModelFamily::kSpherical};
   const auto all = k::fit_all(ev, options);
   ASSERT_EQ(all.size(), 1u);
-  EXPECT_EQ(all[0].family, k::ModelFamily::kSpherical);
+  EXPECT_EQ(all[0].model.family, k::ModelFamily::kSpherical);
   const auto best = k::fit_best(ev, options);
-  EXPECT_EQ(best.family, k::ModelFamily::kSpherical);
+  EXPECT_EQ(best.model.family, k::ModelFamily::kSpherical);
 }
 
 TEST(FitOptions, TinyRangeGridStillFits) {
@@ -50,7 +50,8 @@ TEST(FitOptions, TinyRangeGridStillFits) {
   k::FitOptions options;
   options.range_grid = 1;  // Clamped up internally to >= 2.
   const auto fit = k::fit_family(ev, k::ModelFamily::kExponential, options);
-  ASSERT_NE(fit.model, nullptr);
+  EXPECT_EQ(fit.model.family, k::ModelFamily::kExponential);
+  EXPECT_GT(fit.model.shape, 0.0);  // A range from the clamped grid.
   EXPECT_GE(fit.weighted_sse, 0.0);
 }
 

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -23,12 +22,13 @@ struct Scenario {
   std::uint64_t seed;
 };
 
-std::unique_ptr<k::VariogramModel> model_for(int which) {
+k::VariogramModel model_for(int which) {
+  using F = k::ModelFamily;
   switch (which % 4) {
-    case 0: return std::make_unique<k::LinearVariogram>(0.0, 1.0);
-    case 1: return std::make_unique<k::SphericalVariogram>(0.0, 2.0, 8.0);
-    case 2: return std::make_unique<k::ExponentialVariogram>(0.0, 1.5, 6.0);
-    default: return std::make_unique<k::PowerVariogram>(0.0, 1.0, 1.2);
+    case 0: return {F::kLinear, 0.0, 1.0};
+    case 1: return {F::kSpherical, 0.0, 2.0, 8.0};
+    case 2: return {F::kExponential, 0.0, 1.5, 6.0};
+    default: return {F::kPower, 0.0, 1.0, 1.2};
   }
 }
 
@@ -70,11 +70,11 @@ TEST_P(KrigingInvariantTest, WeightsSumToOneForAllModels) {
   const auto inst = make_instance(GetParam());
   for (int which = 0; which < 4; ++which) {
     const auto model = model_for(which);
-    const auto r = ordinary(inst.points, inst.values, inst.query, *model);
+    const auto r = ordinary(inst.points, inst.values, inst.query, model);
     if (!r) continue;  // Degenerate geometry: fallback is allowed.
     double sum = 0.0;
     for (double w : r->weights) sum += w;
-    EXPECT_NEAR(sum, 1.0, 1e-6) << "model " << model->name();
+    EXPECT_NEAR(sum, 1.0, 1e-6) << "model " << k::family_name(model.family);
   }
 }
 
@@ -82,11 +82,11 @@ TEST_P(KrigingInvariantTest, ExactAtEverySupportPoint) {
   const auto inst = make_instance(GetParam());
   const auto model = model_for(static_cast<int>(GetParam().seed));
   for (std::size_t i = 0; i < inst.points.size(); ++i) {
-    const auto r = ordinary(inst.points, inst.values, inst.points[i], *model);
+    const auto r = ordinary(inst.points, inst.values, inst.points[i], model);
     ASSERT_TRUE(r.has_value());
     if (r->regularized) continue;  // Ridge trades exactness for solvability.
     EXPECT_NEAR(r->estimate, inst.values[i], 1e-6)
-        << "support point " << i << " model " << model->name();
+        << "support point " << i << " model " << k::family_name(model.family);
   }
 }
 
@@ -95,10 +95,10 @@ TEST_P(KrigingInvariantTest, TranslationInvarianceInValues) {
   // by c.
   const auto inst = make_instance(GetParam());
   const auto model = model_for(1);
-  const auto base = ordinary(inst.points, inst.values, inst.query, *model);
+  const auto base = ordinary(inst.points, inst.values, inst.query, model);
   auto shifted = inst.values;
   for (double& v : shifted) v += 100.0;
-  const auto moved = ordinary(inst.points, shifted, inst.query, *model);
+  const auto moved = ordinary(inst.points, shifted, inst.query, model);
   if (!base || !moved) GTEST_SKIP();
   EXPECT_NEAR(moved->estimate, base->estimate + 100.0, 1e-5);
 }
@@ -106,10 +106,10 @@ TEST_P(KrigingInvariantTest, TranslationInvarianceInValues) {
 TEST_P(KrigingInvariantTest, ScaleEquivarianceInValues) {
   const auto inst = make_instance(GetParam());
   const auto model = model_for(2);
-  const auto base = ordinary(inst.points, inst.values, inst.query, *model);
+  const auto base = ordinary(inst.points, inst.values, inst.query, model);
   auto scaled = inst.values;
   for (double& v : scaled) v *= -3.0;
-  const auto moved = ordinary(inst.points, scaled, inst.query, *model);
+  const auto moved = ordinary(inst.points, scaled, inst.query, model);
   if (!base || !moved) GTEST_SKIP();
   // Weights depend only on geometry; the estimate is Σ w λ, hence scales.
   EXPECT_NEAR(moved->estimate, -3.0 * base->estimate, 1e-5);
@@ -131,7 +131,7 @@ TEST_P(KrigingInvariantTest, AffineFieldsAreReproducedNearSupport) {
   };
   for (std::size_t i = 0; i < inst.points.size(); ++i)
     inst.values[i] = affine(inst.points[i]);
-  const k::LinearVariogram model(0.0, 1.0);
+  const k::VariogramModel model(k::ModelFamily::kLinear, 0.0, 1.0);
   const auto r = ordinary(inst.points, inst.values, inst.query, model);
   if (!r || r->regularized) GTEST_SKIP();
   // 1-D affine reproduction is exact; in higher dimensions under L1
