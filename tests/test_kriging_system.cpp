@@ -155,22 +155,20 @@ void expect_matches_reference(
 }
 
 TEST(KrigingSystem, MatchesDenseReferenceSolve) {
-  const k::VariogramModel spherical(F::kSpherical, 0.1, 2.0, 8.0);
-  const k::VariogramModel exponential(F::kExponential, 0.0, 1.5, 6.0);
-  const k::VariogramModel gaussian(F::kGaussian, 0.05, 3.0, 7.0);
-  const std::vector<const k::VariogramModel*> models = {
-      &spherical, &exponential, &gaussian};
+  const k::VariogramModel models[] = {{F::kSpherical, 0.1, 2.0, 8.0},
+                                      {F::kExponential, 0.0, 1.5, 6.0},
+                                      {F::kGaussian, 0.05, 3.0, 7.0}};
   std::uint64_t seed = 100;
   for (std::size_t dim = 1; dim <= 3; ++dim) {
     for (std::size_t n = dim + 2; n <= 8; n += 2) {
       const auto inst = make_instance(dim, n, ++seed);
-      for (const auto* model : models)
+      for (const auto& model : models)
         for (const auto& spec : all_specs()) {
           SCOPED_TRACE(::testing::Message()
                        << "dim " << dim << " n " << n << " model "
-                       << k::family_name(model->family) << " kind "
+                       << k::family_name(model.family) << " kind "
                        << static_cast<int>(spec.kind));
-          expect_matches_reference(spec, inst, *model);
+          expect_matches_reference(spec, inst, model);
         }
     }
   }
@@ -637,13 +635,13 @@ TEST(KrigingAssembly, L2DistanceMatchesDenseReferenceSolve) {
   for (std::size_t dim = 1; dim <= 4; ++dim) {
     for (std::size_t n = dim + 2; n <= 9; n += 3) {
       const auto inst = make_instance(dim, n, ++seed);
-      for (const auto* model : {&spherical, &gaussian})
+      for (const auto& model : {spherical, gaussian})
         for (const auto& spec : all_specs()) {
           SCOPED_TRACE(::testing::Message()
                        << "dim " << dim << " n " << n << " model "
-                       << k::family_name(model->family) << " kind "
+                       << k::family_name(model.family) << " kind "
                        << static_cast<int>(spec.kind));
-          expect_matches_reference(spec, inst, *model, k::l2_distance);
+          expect_matches_reference(spec, inst, model, k::l2_distance);
         }
     }
   }
